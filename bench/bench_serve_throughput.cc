@@ -67,11 +67,12 @@ int main() {
       options.max_batch_size = max_batch;
       options.max_delay_ms = 1;
       options.num_workers = workers;
-      Batcher batcher(options, [&sessions](int worker, const Tensor& in,
-                                           Tensor* out, BatchInfo* info) {
+      Batcher batcher(options, [&sessions](int worker, bool rebind,
+                                           const Tensor& in, Tensor* out,
+                                           BatchInfo* info) {
         InferenceSession& session =
             *sessions[static_cast<std::size_t>(worker)];
-        Status st = session.Predict(in, out);
+        Status st = session.Predict(in, out, rebind);
         info->model_version = session.bound_version();
         return st;
       });
@@ -89,7 +90,7 @@ int main() {
       for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&, c] {
           Rng rng(static_cast<std::uint64_t>(100 + c));
-          Tensor example({64});
+          Tensor example({1, 64});
           for (std::int64_t i = 0; i < example.size(); ++i) {
             example[i] = static_cast<float>(rng.NextGaussian());
           }

@@ -64,33 +64,39 @@ void Batcher::Shutdown() {
     req->status = Status::FailedPrecondition("batcher shut down unstarted");
     req->done = true;
   }
+  queued_rows_ = 0;
   queue_depth_->Set(0.0);
   done_cv_.notify_all();
 }
 
-Status Batcher::Predict(const Tensor& example, Reply* reply) {
+Status Batcher::Predict(const Tensor& rows, Reply* reply) {
   GMREG_CHECK(reply != nullptr);
-  if (example.empty()) {
-    return Status::InvalidArgument("empty example tensor");
+  if (rows.empty()) {
+    return Status::InvalidArgument("empty request tensor");
   }
   Stopwatch watch;
   Request req;
-  req.input = &example;
+  req.input = &rows;
+  req.rows = rows.dim(0);
   req.reply = reply;
   req.deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(options_.max_delay_ms);
   std::unique_lock<std::mutex> lock(mu_);
   if (!accepting_) {
-    rejected_->Add(1);
+    rejected_->Add(req.rows);
     return Status::FailedPrecondition("batcher is shut down");
   }
-  if (static_cast<std::int64_t>(queue_.size()) >= options_.max_queue_depth) {
-    rejected_->Add(1);
+  // Admission counts rows, but a request is never refused for its own
+  // size: it is admitted whenever the queue holds fewer than
+  // max_queue_depth rows.
+  if (queued_rows_ >= options_.max_queue_depth) {
+    rejected_->Add(req.rows);
     return Status::OutOfRange("serving queue is full (backpressure)");
   }
   queue_.push_back(&req);
-  queue_depth_->Set(static_cast<double>(queue_.size()));
-  requests_->Add(1);
+  queued_rows_ += req.rows;
+  queue_depth_->Set(static_cast<double>(queued_rows_));
+  requests_->Add(req.rows);
   work_cv_.notify_one();
   done_cv_.wait(lock, [&req] { return req.done; });
   latency_->Observe(watch.ElapsedSeconds());
@@ -99,15 +105,11 @@ Status Batcher::Predict(const Tensor& example, Reply* reply) {
 
 std::int64_t Batcher::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::int64_t>(queue_.size());
+  return queued_rows_;
 }
 
 int Batcher::RetryAfterSeconds() const {
-  std::int64_t depth;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    depth = static_cast<std::int64_t>(queue_.size());
-  }
+  std::int64_t depth = queue_depth();
   Histogram::Snapshot predict = predict_time_->snapshot();
   double per_batch =
       predict.count > 0 ? predict.sum / static_cast<double>(predict.count)
@@ -123,18 +125,37 @@ int Batcher::RetryAfterSeconds() const {
       std::clamp(std::ceil(seconds), 1.0, 30.0));
 }
 
+namespace {
+
+// Requests batch together when their rows have one shape.
+bool SameRowShape(const Tensor& a, const Tensor& b) {
+  return std::equal(a.shape().begin() + 1, a.shape().end(),
+                    b.shape().begin() + 1, b.shape().end());
+}
+
+}  // namespace
+
 std::vector<Batcher::Request*> Batcher::TakeBatchLocked() {
-  // A batch is a shape-homogeneous prefix: a request with a different
-  // example shape ends the batch and starts the next one, so mixed-shape
-  // traffic degrades throughput, never correctness.
+  // A batch is a prefix of whole requests with one row shape and at most
+  // max_batch_size rows. The first request always goes in, so one larger
+  // than max_batch_size is a batch of its own; a request that does not
+  // fit heads the next batch. Mixed-shape traffic therefore degrades
+  // throughput, never correctness.
   std::vector<Request*> batch;
-  const std::vector<std::int64_t>& shape = queue_.front()->input->shape();
-  while (!queue_.empty() &&
-         static_cast<int>(batch.size()) < options_.max_batch_size &&
-         queue_.front()->input->shape() == shape) {
-    batch.push_back(queue_.front());
+  std::int64_t rows = 0;
+  const Tensor& first = *queue_.front()->input;
+  while (!queue_.empty()) {
+    Request* req = queue_.front();
+    if (!batch.empty() &&
+        (rows + req->rows > options_.max_batch_size ||
+         !SameRowShape(*req->input, first))) {
+      break;
+    }
+    batch.push_back(req);
+    rows += req->rows;
     queue_.pop_front();
   }
+  queued_rows_ -= rows;
   return batch;
 }
 
@@ -148,8 +169,7 @@ void Batcher::WorkerLoop(int worker) {
     }
     // Micro-batching wait: give the batch a chance to fill, but never past
     // the oldest request's deadline — and drain immediately on shutdown.
-    while (!draining_ &&
-           static_cast<int>(queue_.size()) < options_.max_batch_size) {
+    while (!draining_ && queued_rows_ < options_.max_batch_size) {
       auto deadline = queue_.front()->deadline;
       if (std::chrono::steady_clock::now() >= deadline) break;
       work_cv_.wait_until(lock, deadline);
@@ -157,57 +177,117 @@ void Batcher::WorkerLoop(int worker) {
     }
     if (queue_.empty()) continue;
     std::vector<Request*> batch = TakeBatchLocked();
-    queue_depth_->Set(static_cast<double>(queue_.size()));
+    queue_depth_->Set(static_cast<double>(queued_rows_));
     lock.unlock();
-
-    // Stack the examples into one [B, ...] tensor.
-    std::int64_t batch_size = static_cast<std::int64_t>(batch.size());
-    const Tensor& first = *batch[0]->input;
-    std::vector<std::int64_t> stacked_shape;
-    stacked_shape.reserve(first.shape().size() + 1);
-    stacked_shape.push_back(batch_size);
-    stacked_shape.insert(stacked_shape.end(), first.shape().begin(),
-                         first.shape().end());
-    Tensor in(stacked_shape);
-    std::int64_t row = first.size();
-    for (std::int64_t i = 0; i < batch_size; ++i) {
-      const Tensor& example = *batch[static_cast<std::size_t>(i)]->input;
-      std::copy(example.data(), example.data() + row, in.data() + i * row);
-    }
-
-    Tensor out;
-    BatchInfo info;
-    Status st;
-    {
-      Stopwatch predict_watch;
-      st = handler_(worker, in, &out, &info);
-      predict_time_->Observe(predict_watch.ElapsedSeconds());
-    }
-    if (st.ok() && (out.rank() < 1 || out.dim(0) != batch_size)) {
-      st = Status::Internal(
-          "batch handler returned output shape " + out.ShapeString() +
-          " for a batch of " + std::to_string(batch_size));
-    }
-    std::int64_t out_row = st.ok() ? out.size() / batch_size : 0;
-
+    Status st = RunBatch(worker, batch);
     lock.lock();
-    for (std::int64_t i = 0; i < batch_size; ++i) {
-      Request* req = batch[static_cast<std::size_t>(i)];
+    for (Request* req : batch) {
       req->status = st;
-      if (st.ok()) {
-        Tensor scores({out_row});
-        std::copy(out.data() + i * out_row, out.data() + (i + 1) * out_row,
-                  scores.data());
-        req->reply->output = std::move(scores);
-        req->reply->model_version = info.model_version;
-        req->reply->model_epoch = info.model_epoch;
-      }
       req->done = true;
     }
-    batches_->Add(1);
-    batch_size_->Observe(static_cast<double>(batch_size));
     done_cv_.notify_all();
   }
+}
+
+Status Batcher::RunBatch(int worker, const std::vector<Request*>& batch) {
+  // A lone request is its own input; several are stacked into one
+  // [rows, ...] tensor.
+  const Tensor* in = batch[0]->input;
+  Tensor stacked;
+  if (batch.size() > 1) {
+    std::vector<std::int64_t> shape = in->shape();
+    shape[0] = 0;
+    for (const Request* req : batch) shape[0] += req->rows;
+    stacked = Tensor(shape);
+    float* dst = stacked.data();
+    for (const Request* req : batch) {
+      dst = std::copy(req->input->data(),
+                      req->input->data() + req->input->size(), dst);
+    }
+    in = &stacked;
+  }
+  Tensor out;
+  BatchInfo info;
+  GMREG_RETURN_IF_ERROR(RunSlices(worker, *in, &out, &info));
+
+  // Each request gets its own rows of the scores and the one version that
+  // computed all of them. Replies are written before `done` is set under
+  // mu_, which publishes them to the waiting callers.
+  std::int64_t out_row = out.size() / out.dim(0);
+  std::int64_t offset = 0;
+  for (Request* req : batch) {
+    Reply* reply = req->reply;
+    if (batch.size() == 1) {
+      reply->output = std::move(out);
+    } else {
+      std::vector<std::int64_t> shape = out.shape();
+      shape[0] = req->rows;
+      reply->output = Tensor(shape);
+      std::copy(out.data() + offset * out_row,
+                out.data() + (offset + req->rows) * out_row,
+                reply->output.data());
+    }
+    offset += req->rows;
+    reply->model_version = info.model_version;
+    reply->model_epoch = info.model_epoch;
+  }
+  return Status::Ok();
+}
+
+Status Batcher::RunSlices(int worker, const Tensor& in, Tensor* out,
+                          BatchInfo* info) {
+  const std::int64_t rows = in.dim(0);
+  const std::int64_t max_rows = options_.max_batch_size;
+  if (rows <= max_rows) {
+    return CallHandler(worker, /*rebind=*/true, in, out, info);
+  }
+  // One request larger than max_batch_size: no model call (and no
+  // arena-planned buffer) grows past max_batch_size rows.
+  const std::int64_t in_row = in.size() / rows;
+  std::vector<std::int64_t> shape = in.shape();
+  Tensor slice, slice_out;
+  for (std::int64_t begin = 0; begin < rows; begin += max_rows) {
+    std::int64_t n = std::min(max_rows, rows - begin);
+    shape[0] = n;
+    slice.Resize(shape);
+    std::copy(in.data() + begin * in_row, in.data() + (begin + n) * in_row,
+              slice.data());
+    GMREG_RETURN_IF_ERROR(
+        CallHandler(worker, /*rebind=*/begin == 0, slice, &slice_out, info));
+    std::int64_t out_row = slice_out.size() / n;
+    if (begin == 0) {
+      std::vector<std::int64_t> out_shape = slice_out.shape();
+      out_shape[0] = rows;
+      out->Resize(out_shape);
+    } else if (out_row != out->size() / rows) {
+      return Status::Internal("batch handler returned " +
+                              slice_out.ShapeString() +
+                              " for a slice of a " + out->ShapeString() +
+                              " output");
+    }
+    std::copy(slice_out.data(), slice_out.data() + slice_out.size(),
+              out->data() + begin * out_row);
+  }
+  return Status::Ok();
+}
+
+Status Batcher::CallHandler(int worker, bool rebind, const Tensor& in,
+                            Tensor* out, BatchInfo* info) {
+  const std::int64_t rows = in.dim(0);
+  Status st;
+  {
+    Stopwatch predict_watch;
+    st = handler_(worker, rebind, in, out, info);
+    predict_time_->Observe(predict_watch.ElapsedSeconds());
+  }
+  batches_->Add(1);
+  batch_size_->Observe(static_cast<double>(rows));
+  if (st.ok() && (out->rank() < 1 || out->dim(0) != rows)) {
+    st = Status::Internal("batch handler returned output shape " +
+                          out->ShapeString() + " for a batch of " +
+                          std::to_string(rows));
+  }
+  return st;
 }
 
 }  // namespace gmreg

@@ -197,11 +197,13 @@ Status InferenceSession::Rebind(std::shared_ptr<const LoadedModel> model) {
   return Status::Ok();
 }
 
-Status InferenceSession::Predict(const Tensor& in, Tensor* out) {
+Status InferenceSession::Predict(const Tensor& in, Tensor* out,
+                                 bool rebind) {
   GMREG_CHECK(out != nullptr);
   // One cheap atomic read per call; the shared_ptr copy (a lock) only
   // happens when the registry actually moved.
-  if (bound_ == nullptr || registry_->version() != bound_->version) {
+  if (bound_ == nullptr ||
+      (rebind && registry_->version() != bound_->version)) {
     std::shared_ptr<const LoadedModel> current = registry_->Current();
     if (current == nullptr) {
       return Status::FailedPrecondition(

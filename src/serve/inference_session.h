@@ -65,10 +65,12 @@ class InferenceSession {
 
   /// Syncs to the registry's current version if it moved, then runs one
   /// eval-mode forward (Layer::Predict): `in` is [B, ...], `out` receives
-  /// [B, C] scores. FailedPrecondition before the registry's first
-  /// successful load or when the snapshot does not fit the factory's
-  /// topology.
-  Status Predict(const Tensor& in, Tensor* out);
+  /// [B, C] scores. With `rebind` false the session stays on the snapshot
+  /// it is bound to even if the registry moved — how the slices of one
+  /// oversized request share a version (BatchHandler). FailedPrecondition
+  /// before the registry's first successful load or when the snapshot
+  /// does not fit the factory's topology.
+  Status Predict(const Tensor& in, Tensor* out, bool rebind = true);
 
   /// Version/epoch of the snapshot that answered the last Predict (0/-1
   /// before the first bind) — stamped into responses so clients can see

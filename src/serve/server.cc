@@ -183,10 +183,11 @@ Status Server::Start() {
   }
   batcher_ = std::make_unique<Batcher>(
       options_.batcher,
-      [this](int worker, const Tensor& in, Tensor* out, BatchInfo* info) {
+      [this](int worker, bool rebind, const Tensor& in, Tensor* out,
+             BatchInfo* info) {
         InferenceSession& session =
             *sessions_[static_cast<std::size_t>(worker)];
-        Status st = session.Predict(in, out);
+        Status st = session.Predict(in, out, rebind);
         info->model_version = session.bound_version();
         info->model_epoch = session.bound_epoch();
         return st;
@@ -425,35 +426,38 @@ void Server::ReadAndParseLocked(const std::shared_ptr<Conn>& conn) {
 
 void Server::ParsePendingLocked(const std::shared_ptr<Conn>& conn) {
   if (conn->want_close) return;  // a framing error already poisoned the pipe
+  std::string& buf = conn->rbuf;
+  // Requests are parsed at the read offset `start`; the consumed prefix is
+  // dropped only once it is at least half the buffer, so a deep pipelined
+  // backlog is moved O(1) times per byte instead of once per request.
+  std::size_t& start = conn->rpos;
+  auto reject = [&](const char* reason) {
+    HttpReq bad;
+    bad.bad = true;
+    bad.bad_reason = reason;
+    bad.parsed_at = std::chrono::steady_clock::now();
+    conn->pending.push_back(std::move(bad));
+    buf.clear();
+    start = 0;
+  };
   while (conn->pending.size() < kMaxPipelinedRequests) {
-    std::string& buf = conn->rbuf;
-    std::size_t header_end = buf.find("\r\n\r\n");
+    std::size_t header_end = buf.find("\r\n\r\n", start);
     if (header_end == std::string::npos) {
-      if (buf.size() > kMaxHeaderBytes) {
-        HttpReq bad;
-        bad.bad = true;
-        bad.bad_reason = "request headers exceed 64KB";
-        bad.parsed_at = std::chrono::steady_clock::now();
-        conn->pending.push_back(std::move(bad));
-        buf.clear();
+      if (buf.size() - start > kMaxHeaderBytes) {
+        reject("request headers exceed 64KB");
       }
-      return;
+      break;
     }
     // Request line: METHOD SP TARGET SP HTTP/1.x
-    std::size_t line_end = buf.find("\r\n");
-    std::string request_line = buf.substr(0, line_end);
+    std::size_t line_end = buf.find("\r\n", start);
+    std::string request_line = buf.substr(start, line_end - start);
     std::size_t sp1 = request_line.find(' ');
     std::size_t sp2 = sp1 == std::string::npos
                           ? std::string::npos
                           : request_line.find(' ', sp1 + 1);
     if (sp1 == std::string::npos || sp2 == std::string::npos ||
         request_line.compare(sp2 + 1, 7, "HTTP/1.") != 0) {
-      HttpReq bad;
-      bad.bad = true;
-      bad.bad_reason = "malformed HTTP request line";
-      bad.parsed_at = std::chrono::steady_clock::now();
-      conn->pending.push_back(std::move(bad));
-      buf.clear();
+      reject("malformed HTTP request line");
       return;
     }
     bool http10 = request_line.compare(sp2 + 1, 8, "HTTP/1.0") == 0;
@@ -483,16 +487,11 @@ void Server::ParsePendingLocked(const std::shared_ptr<Conn>& conn) {
       }
     }
     if (content_length > kMaxBodyBytes) {
-      HttpReq bad;
-      bad.bad = true;
-      bad.bad_reason = "request body exceeds 8MB";
-      bad.parsed_at = std::chrono::steady_clock::now();
-      conn->pending.push_back(std::move(bad));
-      buf.clear();
+      reject("request body exceeds 8MB");
       return;
     }
     std::size_t total = header_end + 4 + content_length;
-    if (buf.size() < total) return;  // body still in flight
+    if (buf.size() < total) break;  // body still in flight
 
     HttpReq req;
     req.method = request_line.substr(0, sp1);
@@ -501,7 +500,14 @@ void Server::ParsePendingLocked(const std::shared_ptr<Conn>& conn) {
     req.keep_alive = http10 ? explicit_keepalive : !explicit_close;
     req.parsed_at = std::chrono::steady_clock::now();
     conn->pending.push_back(std::move(req));
-    buf.erase(0, total);
+    start = total;
+  }
+  if (start == buf.size()) {
+    buf.clear();
+    start = 0;
+  } else if (start >= buf.size() - start) {
+    buf.erase(0, start);
+    start = 0;
   }
 }
 
@@ -725,8 +731,13 @@ std::string Server::HandlePredict(const std::string& body, int* http_status,
                                static_cast<int>(rows.size())));
   }
 
+  // Validate every row and copy it into one [n, ...] tensor: the request
+  // is enqueued once, so all its rows share a batch (or one worker's
+  // slices) and one model version.
   std::int64_t row_size = ShapeSize(spec_.input_shape);
-  std::vector<Batcher::Reply> replies(rows.size());
+  std::vector<std::int64_t> shape = spec_.input_shape;
+  shape.insert(shape.begin(), static_cast<std::int64_t>(rows.size()));
+  Tensor input(shape);
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const JsonValue& row = *rows[r];
     if (!row.is_array() ||
@@ -737,7 +748,7 @@ std::string Server::HandlePredict(const std::string& body, int* http_status,
           static_cast<int>(r), static_cast<int>(row_size),
           spec_.name.c_str()));
     }
-    Tensor example(spec_.input_shape);
+    float* dst = input.data() + static_cast<std::int64_t>(r) * row_size;
     for (std::int64_t i = 0; i < row_size; ++i) {
       const JsonValue& v = row.items[static_cast<std::size_t>(i)];
       if (!v.is_number()) {
@@ -745,44 +756,42 @@ std::string Server::HandlePredict(const std::string& body, int* http_status,
         return ErrorBody(StrFormat("input row %d element %d is not a number",
                                    static_cast<int>(r), static_cast<int>(i)));
       }
-      example[i] = static_cast<float>(v.number);
-    }
-    // Rows ride the shared micro-batching queue one by one, coalescing with
-    // every other in-flight request in the process.
-    st = batcher_->Predict(example, &replies[r]);
-    if (!st.ok()) {
-      *http_status = HttpStatusFor(st);
-      if (*http_status == 429) {
-        // Load shed, not a drop: tell the client when the queue should
-        // have drained so a well-behaved retry lands in free capacity.
-        shed_->Add(1);
-        *extra_headers += StrFormat("Retry-After: %d\r\n",
-                                    batcher_->RetryAfterSeconds());
-      }
-      return ErrorBody(st.ToString());
+      dst[i] = static_cast<float>(v.number);
     }
   }
+  Batcher::Reply reply;
+  st = batcher_->Predict(input, &reply);
+  if (!st.ok()) {
+    *http_status = HttpStatusFor(st);
+    if (*http_status == 429) {
+      // Load shed, not a drop: tell the client when the queue should
+      // have drained so a well-behaved retry lands in free capacity.
+      shed_->Add(1);
+      *extra_headers += StrFormat("Retry-After: %d\r\n",
+                                  batcher_->RetryAfterSeconds());
+    }
+    return ErrorBody(st.ToString());
+  }
 
+  const Tensor& out = reply.output;
+  const std::int64_t classes = out.size() / out.dim(0);
   JsonWriter w;
   w.BeginObject();
-  w.Key("model_version").Int(replies[0].model_version);
-  w.Key("model_epoch").Int(replies[0].model_epoch);
+  w.Key("model_version").Int(reply.model_version);
+  w.Key("model_epoch").Int(reply.model_epoch);
   w.Key("outputs").BeginArray();
-  for (const Batcher::Reply& reply : replies) {
+  for (std::int64_t r = 0; r < out.dim(0); ++r) {
     w.BeginArray();
-    for (std::int64_t i = 0; i < reply.output.size(); ++i) {
-      w.Double(static_cast<double>(reply.output[i]));
+    for (std::int64_t i = 0; i < classes; ++i) {
+      w.Double(static_cast<double>(out[r * classes + i]));
     }
     w.EndArray();
   }
   w.EndArray();
   w.Key("predictions").BeginArray();
-  for (const Batcher::Reply& reply : replies) {
-    std::int64_t best = 0;
-    for (std::int64_t i = 1; i < reply.output.size(); ++i) {
-      if (reply.output[i] > reply.output[best]) best = i;
-    }
-    w.Int(best);
+  for (std::int64_t r = 0; r < out.dim(0); ++r) {
+    const float* scores = out.data() + r * classes;
+    w.Int(std::max_element(scores, scores + classes) - scores);
   }
   w.EndArray();
   w.EndObject();

@@ -41,8 +41,8 @@ struct ServerOptions {
   int max_connections = 1024;
   /// Threads executing parsed requests (JSON decode -> Batcher::Predict ->
   /// response render). This bounds the requests concurrently in flight
-  /// toward the batcher, so keep it >= the micro-batch size the batcher
-  /// should be able to fill.
+  /// toward the batcher, so keep it >= the number of requests a full
+  /// micro-batch holds (max_batch_size / rows per request).
   int num_handler_threads = 8;
   /// Per-request latency objective: requests slower than this (parse
   /// complete -> response rendered) increment the per-endpoint
@@ -70,10 +70,12 @@ struct ServerOptions {
 /// non-blocking reads into per-connection buffers, incremental HTTP/1.1
 /// parsing (keep-alive and pipelined requests), response writes, idle
 /// timeouts, and the max-connection cap. Parsed requests are executed in
-/// order per connection by a small handler pool (num_handler_threads),
-/// each handler blocking in Batcher::Predict so concurrent requests
-/// coalesce into micro-batches; responses are handed back to the loop
-/// through a wakeup eventfd.
+/// order per connection by a small handler pool (num_handler_threads).
+/// A handler validates all of a request's rows, copies them into one
+/// [n, ...] tensor and blocks in a single Batcher::Predict, so concurrent
+/// requests coalesce into micro-batches while each request is answered by
+/// one model version; responses are handed back to the loop through a
+/// wakeup eventfd.
 ///
 /// Admission control: when the batcher queue is saturated the request is
 /// shed with 429 + a Retry-After header estimated from the queue's drain
@@ -131,7 +133,8 @@ class Server {
   /// wbuf/pending bookkeeping.
   struct Conn {
     int fd = -1;
-    std::string rbuf;             ///< unparsed inbound bytes
+    std::string rbuf;             ///< inbound bytes; parsed up to rpos
+    std::size_t rpos = 0;         ///< offset of the first unparsed byte
     std::string wbuf;             ///< rendered responses awaiting send
     std::deque<HttpReq> pending;  ///< parsed requests not yet executed
     bool busy = false;        ///< a handler owns this connection's pending

@@ -127,6 +127,9 @@ void ThreadPool::WorkerLoop() {
     wake_cv_.wait(lock, [&] { return stop_ || generation_ != seen_generation; });
     if (stop_) return;
     seen_generation = generation_;
+    // Woken after the job finished and Run() cleared it: joining now would
+    // call the null function on the next job's reset tickets.
+    if (!fn_) continue;
     FunctionRef<void(int)> fn = fn_;
     Arena* job_arena = job_arena_;
     int total = total_tasks_;

@@ -176,6 +176,34 @@ TEST(ParallelNestingTest, NestedParallelCallsFallBackToSerial) {
   }
 }
 
+// A pool worker can wake after the job it was woken for has finished and
+// Run() has returned. Back-to-back small jobs make that window common: a
+// worker that then joined the cleared job would call a null function or
+// claim the next job's tickets. Every task of every job must run exactly
+// once.
+TEST(ThreadPoolStressTest, BackToBackSmallJobsRunEveryTaskOnce) {
+  constexpr int kJobs = 100000;
+  for (int budget : {2, 4, 8}) {
+    std::vector<int> hits(static_cast<std::size_t>(budget), 0);
+    std::int64_t bad_jobs = 0;
+    for (int job = 0; job < kJobs; ++job) {
+      ParallelFor(
+          0, budget, /*grain=*/1,
+          [&](std::int64_t b, std::int64_t e) {
+            for (std::int64_t i = b; i < e; ++i) {
+              ++hits[static_cast<std::size_t>(i)];
+            }
+          },
+          budget);
+      for (int& h : hits) {
+        if (h != 1) ++bad_jobs;
+        h = 0;
+      }
+    }
+    EXPECT_EQ(bad_jobs, 0) << "budget " << budget;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sharded E-step determinism, across sizes below and above the grain.
 

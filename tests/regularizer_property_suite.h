@@ -32,9 +32,12 @@
 namespace gmreg {
 namespace testing {
 
+/// Field order matters to test names: gtest has no printer for this struct,
+/// so every discovered ctest name ends in a raw byte dump of the spec. The
+/// flags lead so that the dump opens with fixed data. A leading std::string
+/// would open it with a heap address, which address-space randomization
+/// moves from build to build, and the names would change with it.
 struct RegContractSpec {
-  /// Factory config string (one of RegularizerExampleConfigs()).
-  std::string config;
   /// Penalty(w) >= 0 for all w. True for the norm family and dynprior;
   /// false for density-based priors whose -log p(w) can go negative.
   bool penalty_nonnegative = true;
@@ -50,6 +53,8 @@ struct RegContractSpec {
   /// E/M-step seconds); the suite then verifies resume bit-exactness
   /// behaviorally (weights + penalty) instead of comparing state strings.
   bool state_deterministic = true;
+  /// Factory config string (one of RegularizerExampleConfigs()).
+  std::string config;
   /// |w| magnitudes where the penalty is non-smooth (0 = kink at zero);
   /// the FD gradient check samples weights away from these.
   std::vector<double> kinks;

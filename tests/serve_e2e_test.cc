@@ -8,6 +8,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,10 +77,10 @@ void TrainAndCheckpoint(const ModelSpec& spec, const std::string& ckpt_path,
 }
 
 /// Deterministic probe inputs the whole test reasons about.
-std::vector<std::vector<float>> MakeProbes() {
+std::vector<std::vector<float>> MakeProbes(int count = 4) {
   std::vector<std::vector<float>> probes;
   Rng rng(99);
-  for (int p = 0; p < 4; ++p) {
+  for (int p = 0; p < count; ++p) {
     std::vector<float> row(static_cast<std::size_t>(kFeatures));
     for (float& v : row) v = static_cast<float>(rng.NextGaussian());
     probes.push_back(std::move(row));
@@ -121,23 +124,30 @@ std::string PredictBody(const std::vector<float>& probe) {
 
 struct ParsedReply {
   std::int64_t model_version = 0;
-  std::vector<float> output;
+  int model_epoch = -1;
+  std::vector<std::vector<float>> outputs;  ///< one score row per input row
 };
 
 bool ParseReply(const std::string& body, ParsedReply* out) {
   JsonValue doc;
   if (!JsonValue::Parse(body, &doc).ok() || !doc.is_object()) return false;
   const JsonValue* version = doc.Find("model_version");
+  const JsonValue* epoch = doc.Find("model_epoch");
   const JsonValue* outputs = doc.Find("outputs");
-  if (version == nullptr || !version->is_number() || outputs == nullptr ||
-      !outputs->is_array() || outputs->items.size() != 1 ||
-      !outputs->items[0].is_array()) {
+  if (version == nullptr || !version->is_number() || epoch == nullptr ||
+      !epoch->is_number() || outputs == nullptr || !outputs->is_array()) {
     return false;
   }
   out->model_version = static_cast<std::int64_t>(version->number);
-  for (const JsonValue& v : outputs->items[0].items) {
-    if (!v.is_number()) return false;
-    out->output.push_back(static_cast<float>(v.number));
+  out->model_epoch = static_cast<int>(epoch->number);
+  for (const JsonValue& item : outputs->items) {
+    if (!item.is_array()) return false;
+    std::vector<float> row;
+    for (const JsonValue& v : item.items) {
+      if (!v.is_number()) return false;
+      row.push_back(static_cast<float>(v.number));
+    }
+    out->outputs.push_back(std::move(row));
   }
   return true;
 }
@@ -236,7 +246,7 @@ TEST(ServeEndToEndTest, HotSwapUnderConcurrentTraffic) {
           continue;
         }
         ParsedReply reply;
-        if (!ParseReply(reply_body, &reply)) {
+        if (!ParseReply(reply_body, &reply) || reply.outputs.size() != 1) {
           parse_failures.fetch_add(1);
           continue;
         }
@@ -244,10 +254,11 @@ TEST(ServeEndToEndTest, HotSwapUnderConcurrentTraffic) {
         // snapshot its model_version claims — a mid-forward swap would
         // produce outputs matching neither oracle.
         if (reply.model_version == 1 &&
-            MaxAbsDiff(reply.output, expected_a[probe_index]) < 1e-4) {
+            MaxAbsDiff(reply.outputs[0], expected_a[probe_index]) < 1e-4) {
           version_a_hits.fetch_add(1);
         } else if (reply.model_version >= 2 &&
-                   MaxAbsDiff(reply.output, expected_b[probe_index]) < 1e-4) {
+                   MaxAbsDiff(reply.outputs[0], expected_b[probe_index]) <
+                       1e-4) {
           version_b_hits.fetch_add(1);
         } else {
           torn_responses.fetch_add(1);
@@ -278,9 +289,10 @@ TEST(ServeEndToEndTest, HotSwapUnderConcurrentTraffic) {
                     .ok());
     ASSERT_EQ(code, 200) << reply_body;
     ParsedReply reply;
-    ASSERT_TRUE(ParseReply(reply_body, &reply)) << reply_body;
+    ASSERT_TRUE(ParseReply(reply_body, &reply) && reply.outputs.size() == 1)
+        << reply_body;
     EXPECT_GE(reply.model_version, 2);
-    EXPECT_LT(MaxAbsDiff(reply.output, expected_b[p]), 1e-4)
+    EXPECT_LT(MaxAbsDiff(reply.outputs[0], expected_b[p]), 1e-4)
         << "post-swap response does not match the new snapshot (probe " << p
         << ")";
     version_b_hits.fetch_add(1);
@@ -326,6 +338,162 @@ TEST(ServeEndToEndTest, HotSwapUnderConcurrentTraffic) {
   EXPECT_FALSE(down.ok());
   server.Stop();
 }
+
+/// A body of several rows: probes[first], probes[first + 1], ... (mod the
+/// probe count).
+std::string MultiRowBody(const std::vector<std::vector<float>>& probes,
+                         std::size_t first, std::size_t rows) {
+  JsonWriter w;
+  w.BeginObject().Key("inputs").BeginArray();
+  for (std::size_t r = 0; r < rows; ++r) {
+    w.BeginArray();
+    for (float v : probes[(first + r) % probes.size()]) {
+      w.Double(static_cast<double>(v));
+    }
+    w.EndArray();
+  }
+  w.EndArray().EndObject();
+  return w.str();
+}
+
+// Multi-row requests under a hot swap: every row of every response must
+// match the reference outputs of the one version the response reports.
+// The parameter is max_batch_size: 8 runs each 8-row body as one batch, 3
+// runs it in slices of 3, 3 and 2 rows that must share one snapshot.
+class MultiRowHotSwapTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MultiRowHotSwapTest, EveryRowComesFromTheReportedVersion) {
+  constexpr std::size_t kRowsPerBody = 8;
+  ModelSpec spec;
+  ASSERT_TRUE(ParseModelSpec(kSpec, &spec).ok());
+  std::string ckpt_path =
+      TempPath("serve_e2e_rows_" + std::to_string(GetParam()) + ".gmckpt");
+  TrainAndCheckpoint(spec, ckpt_path, /*epochs=*/1);
+  std::vector<std::vector<float>> probes = MakeProbes(11);
+  ModelSnapshot snap_a;
+  ASSERT_TRUE(LoadModelSnapshot(ckpt_path, &snap_a).ok());
+  std::vector<std::vector<float>> expected_a =
+      ReferenceOutputs(spec, snap_a, probes);
+  // Snapshots B, C, ...: scaled weights with distinct reference outputs,
+  // published while the traffic runs.
+  TrainingCheckpoint full_a;
+  ASSERT_TRUE(LoadCheckpoint(ckpt_path, &full_a).ok());
+  constexpr int kSwaps = 30;
+  std::vector<TrainingCheckpoint> swaps;
+  std::map<int, std::vector<std::vector<float>>> expected_by_epoch;
+  expected_by_epoch[snap_a.epoch] = expected_a;
+  for (int k = 1; k <= kSwaps; ++k) {
+    TrainingCheckpoint next = full_a;
+    next.epoch = full_a.epoch + k;
+    for (Tensor& t : next.params) {
+      for (std::int64_t i = 0; i < t.size(); ++i) {
+        t[i] *= 1.0f + 0.25f * static_cast<float>(k);
+      }
+    }
+    ModelSnapshot snap;
+    snap.epoch = next.epoch;
+    snap.param_names = next.param_names;
+    snap.params = next.params;
+    expected_by_epoch[next.epoch] = ReferenceOutputs(spec, snap, probes);
+    swaps.push_back(std::move(next));
+  }
+
+  ModelRegistry registry(ckpt_path);
+  ASSERT_TRUE(registry.Reload().ok());
+  ServerOptions options;
+  options.port = 0;
+  options.batcher.max_batch_size = GetParam();
+  options.batcher.max_delay_ms = 1;
+  options.batcher.num_workers = 2;
+  options.reload_poll_ms = 2;
+  Server server(&registry, spec, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 150;
+  std::atomic<int> failures{0};
+  std::atomic<int> wrong_rows{0};
+  std::atomic<int> answered{0};
+  std::atomic<bool> all_published{false};
+  std::mutex versions_mu;
+  std::set<std::int64_t> versions_seen;
+  auto send_and_check = [&](HttpClient* client, std::size_t first) {
+    int code = 0;
+    std::string reply_body;
+    ParsedReply reply;
+    if (!client
+             ->Request("POST", "/v1/predict",
+                       MultiRowBody(probes, first, kRowsPerBody), &code,
+                       &reply_body)
+             .ok() ||
+        code != 200 || !ParseReply(reply_body, &reply) ||
+        reply.outputs.size() != kRowsPerBody) {
+      failures.fetch_add(1);
+      return;
+    }
+    // Each snapshot has its own epoch, so the reported epoch names the one
+    // snapshot every row must come from.
+    auto it = expected_by_epoch.find(reply.model_epoch);
+    if (it == expected_by_epoch.end()) {
+      failures.fetch_add(1);
+      return;
+    }
+    for (std::size_t row = 0; row < kRowsPerBody; ++row) {
+      const std::vector<float>& want =
+          it->second[(first + row) % probes.size()];
+      if (MaxAbsDiff(reply.outputs[row], want) >= 1e-4) {
+        wrong_rows.fetch_add(1);
+      }
+    }
+    answered.fetch_add(1);
+    std::lock_guard<std::mutex> lock(versions_mu);
+    versions_seen.insert(reply.model_version);
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      HttpClient client(server.port());
+      // Traffic lasts until every swap is published; the request sent
+      // after that is answered by the last snapshot.
+      for (int r = 0;; ++r) {
+        bool last = r >= kRequestsPerClient && all_published.load();
+        send_and_check(&client, static_cast<std::size_t>(c * 3 + r));
+        if (last) break;
+      }
+    });
+  }
+  // The swaps are spread over the traffic: swap k waits until k + 1
+  // shares of the requests have been answered, and at least 2 ms.
+  for (std::size_t k = 0; k < swaps.size(); ++k) {
+    const int target = static_cast<int>(k + 1) * kClients *
+                       kRequestsPerClient / (kSwaps + 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    for (int spin = 0; spin < 5000 && answered.load() < target; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(SaveCheckpoint(swaps[k], ckpt_path).ok());
+  }
+  const int last_epoch = swaps.back().epoch;
+  for (int spin = 0;
+       spin < 5000 && registry.Current()->snapshot.epoch != last_epoch;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(registry.Current()->snapshot.epoch, last_epoch);
+  all_published.store(true);
+  for (std::thread& t : clients) t.join();
+  server.Stop();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wrong_rows.load(), 0)
+      << "a response reported one version but has rows of another";
+  EXPECT_GE(answered.load(), kClients * (kRequestsPerClient + 1));
+  // Answers came from before the first swap and after the last one.
+  EXPECT_GT(versions_seen.size(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, MultiRowHotSwapTest,
+                         ::testing::Values(8, 3));
 
 TEST(ServeHttpTest, RoutesAndErrorCodes) {
   ModelSpec spec;

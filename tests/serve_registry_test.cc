@@ -246,6 +246,31 @@ TEST(InferenceSessionTest, RebindsWhenTheRegistryMoves) {
   EXPECT_NEAR(out.At(0, 1), 0.8125f, 1e-6);
 }
 
+TEST(InferenceSessionTest, WithoutRebindStaysOnTheBoundSnapshot) {
+  // The later slices of one oversized request pass rebind = false: a
+  // version published mid-request must not answer them.
+  std::string path = TempPath("session_pinned.gmckpt");
+  ASSERT_TRUE(SaveCheckpoint(MlpCheckpoint(0.0f, 1), path).ok());
+  ModelRegistry registry(path);
+  ASSERT_TRUE(registry.Reload().ok());
+  ModelSpec spec;
+  ASSERT_TRUE(ParseModelSpec("mlp:2:3:2", &spec).ok());
+  InferenceSession session(&registry, spec.factory);
+  Tensor in({1, 2});
+  in.At(0, 0) = 1.0f;
+  in.At(0, 1) = 1.0f;
+  Tensor out;
+  ASSERT_TRUE(session.Predict(in, &out).ok());
+  ASSERT_TRUE(SaveCheckpoint(MlpCheckpoint(0.25f, 2), path).ok());
+  ASSERT_TRUE(registry.Reload().ok());
+  ASSERT_TRUE(session.Predict(in, &out, /*rebind=*/false).ok());
+  EXPECT_EQ(session.bound_version(), 1);
+  EXPECT_EQ(out.At(0, 0), 0.0f);
+  ASSERT_TRUE(session.Predict(in, &out, /*rebind=*/true).ok());
+  EXPECT_EQ(session.bound_version(), 2);
+  EXPECT_NEAR(out.At(0, 0), 0.8125f, 1e-6);
+}
+
 TEST(InferenceSessionTest, ApplySnapshotValidatesBeforeCopying) {
   ModelSpec spec;
   ASSERT_TRUE(ParseModelSpec("mlp:2:3:2", &spec).ok());

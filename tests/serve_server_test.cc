@@ -5,9 +5,11 @@
 // directly over real sockets; the request/response semantics themselves
 // are covered by serve_e2e_test.cc.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,6 +156,50 @@ TEST(ServeEventLoopTest, PipelinedRequestsAnswerInOrder) {
   EXPECT_NE(body.find("\"error\""), std::string::npos);
 
   EXPECT_EQ(CounterValue("gm.serve.conns_accepted"), accepted_before + 1);
+  served.server->Stop();
+}
+
+TEST(ServeEventLoopTest, PipelinedBurstParsesInLinearTime) {
+  // A burst of N requests written in one go sits in the connection's read
+  // buffer while it is parsed. Parsing must cost O(bytes), not O(N) per
+  // request, or a deep pipeline stalls the event loop quadratically.
+  ServerOptions options;
+  options.batcher.max_delay_ms = 0;  // measure the parser, not batching
+  ServedModel served;
+  served.Start("serve_pipeline_burst", options);
+  const std::string one = HttpClient::Serialize("POST", "/v1/predict",
+                                                PredictBody());
+  // Process CPU seconds, best of two bursts: other processes sharing the
+  // machine inflate wall time, not the work the server does.
+  auto burst_cpu_seconds = [&](int n) {
+    std::string wire;
+    wire.reserve(one.size() * static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) wire += one;
+    double best = 1e30;
+    for (int rep = 0; rep < 2; ++rep) {
+      HttpClient client(served.server->port());
+      std::clock_t start = std::clock();
+      EXPECT_TRUE(client.SendRaw(wire).ok());
+      int ok = 0;
+      for (int i = 0; i < n; ++i) {
+        int status = 0;
+        std::string body;
+        if (!client.ReadResponse(&status, &body).ok()) break;
+        if (status == 200) ++ok;
+      }
+      EXPECT_EQ(ok, n);
+      best = std::min(best, static_cast<double>(std::clock() - start) /
+                                CLOCKS_PER_SEC);
+    }
+    return best;
+  };
+  constexpr int kBurst = 8000;
+  burst_cpu_seconds(64);  // warm-up: plan the model's buffers
+  double small = burst_cpu_seconds(kBurst);
+  double large = burst_cpu_seconds(4 * kBurst);
+  EXPECT_LT(large, 8.0 * small)
+      << kBurst << " requests took " << small << " CPU s, " << 4 * kBurst
+      << " took " << large << " CPU s";
   served.server->Stop();
 }
 

@@ -48,7 +48,7 @@ void Usage(const char* argv0) {
       "  --model=SPEC       mlp:<in>:<hidden>:<classes> | alex[:hw[:c]] |\n"
       "                     resnet[:hw[:blocks]] (required)\n"
       "  --port=N           TCP port, 0 = ephemeral (default 8080)\n"
-      "  --batch=N          max micro-batch size (default 8)\n"
+      "  --batch=N          max rows per model call (default 8)\n"
       "  --delay-ms=N       max batching delay in ms (default 2)\n"
       "  --workers=N        inference worker threads (default 2)\n"
       "  --poll-ms=N        checkpoint watch interval, 0 = off (default 500)\n"
