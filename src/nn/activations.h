@@ -40,7 +40,8 @@ class Lrn : public Layer {
   double beta_;
   double k_;
   Tensor cached_in_;
-  Tensor denom_;  // k + alpha/n * window sums, same shape as input
+  Tensor scale_;  // denom^-beta per element, same shape as input
+  Tensor ratio_;  // Backward's gout * in * scale / denom per element
 };
 
 }  // namespace gmreg

@@ -1,35 +1,35 @@
 #include "nn/conv.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "tensor/quantize.h"
 #include "tensor/random.h"
 #include "tensor/tensor_ops.h"
+#include "util/arena.h"
 #include "util/parallel.h"
 
 namespace gmreg {
 namespace {
 
-// Shrink-or-plan scratch shaping: EnsureShape alone would keep a buffer
-// sized for the largest batch ever seen. When the retained capacity is more
-// than twice what the new shape needs, drop the buffer and reallocate at
-// the planned size (a shape change is a planning step, so the reallocation
-// is not on the steady-state path).
-void PlanScratch(std::initializer_list<std::int64_t> shape, Tensor* t) {
-  const std::vector<std::int64_t>& cur = t->shape();
-  if (cur.size() == shape.size() &&
-      std::equal(shape.begin(), shape.end(), cur.begin())) {
-    return;
-  }
-  std::int64_t need = 1;
-  for (std::int64_t d : shape) need *= d;
-  if (t->capacity() > 2 * need) {
-    // Drop the oversized buffer so the reallocation below starts fresh
-    // instead of keeping the old high-water block alive.
-    *t = Tensor();
-  }
-  *t = Tensor(shape);
+// Bound, in floats, on a sample group's im2col panel [patch, g*cols] and on
+// its output rows [Cout, g*cols] (256 KB each). A group is as many samples
+// as fit, so small late layers still get one wide GEMM per group while the
+// scratch stays independent of the batch size: an evaluation pass at batch
+// 100 uses the same buffers as training at 16 (docs/MEMORY.md).
+constexpr std::int64_t kGroupFloats = std::int64_t{1} << 16;
+
+// Per-thread scratch that every Conv2d on the thread shares, like the GEMM's
+// packed-B buffer: a layer's pass finishes before the next layer's starts,
+// and a serving worker (one pool task) has its own. Grow-only and
+// arena-served, so steady-state steps never touch the heap.
+struct ConvScratch {
+  ScratchBuffer<float> panel;  // im2col columns, then dcol [patch, g*cols]
+  ScratchBuffer<float> rows;   // outputs or output gradients [Cout, g*cols]
+};
+
+ConvScratch& ThreadConvScratch() {
+  thread_local ConvScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -59,16 +59,22 @@ Conv2d::Conv2d(std::string name, std::int64_t in_channels,
   FillGaussian(rng, 0.0, init_stddev_, &weight_);
 }
 
-void Conv2d::Im2Col(const float* img, std::int64_t h, std::int64_t w,
-                    std::int64_t out_h, std::int64_t out_w, float* col) const {
+std::int64_t Conv2d::GroupSize(std::int64_t cols) const {
   std::int64_t patch = in_channels_ * kernel_ * kernel_;
+  std::int64_t widest = std::max(patch, out_channels_);
+  return std::max<std::int64_t>(1, kGroupFloats / (widest * cols));
+}
+
+void Conv2d::Im2Col(const float* img, std::int64_t h, std::int64_t w,
+                    std::int64_t out_h, std::int64_t out_w, float* col,
+                    std::int64_t ld) const {
   std::int64_t cols = out_h * out_w;
-  std::memset(col, 0, static_cast<std::size_t>(patch * cols) * sizeof(float));
   for (std::int64_t c = 0; c < in_channels_; ++c) {
     for (int kh = 0; kh < kernel_; ++kh) {
       for (int kw = 0; kw < kernel_; ++kw) {
         std::int64_t row = (c * kernel_ + kh) * kernel_ + kw;
-        float* dst = col + row * cols;
+        float* dst = col + row * ld;
+        std::fill(dst, dst + cols, 0.0f);
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
           std::int64_t ih = oh * stride_ - padding_ + kh;
           if (ih < 0 || ih >= h) continue;
@@ -84,14 +90,14 @@ void Conv2d::Im2Col(const float* img, std::int64_t h, std::int64_t w,
   }
 }
 
-void Conv2d::Col2Im(const float* col, std::int64_t h, std::int64_t w,
-                    std::int64_t out_h, std::int64_t out_w, float* img) const {
-  std::int64_t cols = out_h * out_w;
+void Conv2d::Col2Im(const float* col, std::int64_t ld, std::int64_t h,
+                    std::int64_t w, std::int64_t out_h, std::int64_t out_w,
+                    float* img) const {
   for (std::int64_t c = 0; c < in_channels_; ++c) {
     for (int kh = 0; kh < kernel_; ++kh) {
       for (int kw = 0; kw < kernel_; ++kw) {
         std::int64_t row = (c * kernel_ + kh) * kernel_ + kw;
-        const float* src = col + row * cols;
+        const float* src = col + row * ld;
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
           std::int64_t ih = oh * stride_ - padding_ + kh;
           if (ih < 0 || ih >= h) continue;
@@ -122,36 +128,44 @@ void Conv2d::Forward(const Tensor& in, Tensor* out, bool train) {
   std::int64_t cols = out_h * out_w;
   std::int64_t in_chw = in_channels_ * h * w;
   std::int64_t out_chw = out_channels_ * cols;
-  auto forward_one = [&](std::int64_t i, Tensor* col) {
-    Im2Col(in.data() + i * in_chw, h, w, out_h, out_w, col->data());
-    // out_i [Cout, cols] = W [Cout, patch] * col [patch, cols]
+  std::int64_t group = GroupSize(cols);
+  ConvScratch& scratch = ThreadConvScratch();
+  float* panel = scratch.panel.EnsureCapacity(
+      static_cast<std::size_t>(patch * group * cols));
+  float* rows = scratch.rows.EnsureCapacity(
+      static_cast<std::size_t>(out_channels_ * group * cols));
+  const float* x = in.data();
+  const float* bias = bias_.data();
+  float* y = out->data();
+  int groups = static_cast<int>((b + group - 1) / group);
+  for (int g = 0; g < groups; ++g) {
+    auto [g0, g1] = ShardRange(g, groups, 0, b);
+    std::int64_t n = (g1 - g0) * cols;
+    ParallelFor(g0, g1, /*grain=*/1, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        Im2Col(x + i * in_chw, h, w, out_h, out_w, panel + (i - g0) * cols,
+               n);
+      }
+    });
+    // rows [Cout, n] = W [Cout, patch] * panel [patch, n]
     if (!train && quantized_weight_ != nullptr) {
       // Inference-only int8 path: per-output-row scales applied to each
       // finished row, accumulation stays float32 (tensor/quantize.h).
-      GemmQuantA(out_channels_, cols, patch, *quantized_weight_, col->data(),
-                 cols, out->data() + i * out_chw, cols);
+      GemmQuantA(out_channels_, n, patch, *quantized_weight_, panel, n, rows,
+                 n);
     } else {
-      Gemm(false, false, out_channels_, cols, patch, 1.0f, weight_.data(),
-           patch, col->data(), cols, 0.0f, out->data() + i * out_chw, cols);
+      Gemm(false, false, out_channels_, n, patch, 1.0f, weight_.data(), patch,
+           panel, n, 0.0f, rows, n);
     }
-    // bias broadcast over spatial positions
-    AddColBroadcast(out_channels_, cols, bias_.data(),
-                    out->data() + i * out_chw);
-  };
-  // Samples are independent and write disjoint output slices, so the batch
-  // loop shards over the thread budget with one im2col buffer per shard;
-  // the inner Gemm then runs serially (nested regions don't re-shard).
-  int shards = ComputeNumShards(b, /*grain=*/1, ResolveNumThreads(0));
-  if (shards <= 1 || InParallelRegion()) {
-    shard_cols_.resize(1);
-    PlanScratch({patch, cols}, &shard_cols_[0]);
-    for (std::int64_t i = 0; i < b; ++i) forward_one(i, &shard_cols_[0]);
-  } else {
-    shard_cols_.resize(static_cast<std::size_t>(shards));
-    RunShards(shards, 0, b, [&](int s, std::int64_t b0, std::int64_t b1) {
-      Tensor* col = &shard_cols_[static_cast<std::size_t>(s)];
-      PlanScratch({patch, cols}, col);
-      for (std::int64_t i = b0; i < b1; ++i) forward_one(i, col);
+    // Scatter the rows back to NCHW, adding the bias on the way.
+    ParallelFor(g0, g1, /*grain=*/1, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        for (std::int64_t co = 0; co < out_channels_; ++co) {
+          const float* src = rows + co * n + (i - g0) * cols;
+          float* dst = y + i * out_chw + co * cols;
+          for (std::int64_t p = 0; p < cols; ++p) dst[p] = src[p] + bias[co];
+        }
+      }
     });
   }
   if (train) {
@@ -185,66 +199,46 @@ void Conv2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
   std::int64_t in_chw = in_channels_ * h * w;
   std::int64_t out_chw = out_channels_ * cols;
   EnsureShape(cached_in_.shape(), grad_in);
-  grad_in->SetZero();
-  // The batch splits into a fixed number of chunks that depends only on the
-  // batch size — never on the thread budget — so the per-chunk partial
-  // weight/bias gradients and their fixed-order merge below produce
-  // bitwise-identical results at every thread budget (docs/KERNELS.md).
-  // Each chunk owns its scratch (col/gcol) and partial accumulators; samples
-  // write disjoint grad_in slices.
-  int chunks = static_cast<int>(std::min<std::int64_t>(b, 8));
-  bwd_scratch_.resize(static_cast<std::size_t>(chunks));
-  auto backward_chunk = [&](int s, std::int64_t b0, std::int64_t b1) {
-    BwdScratch& scratch = bwd_scratch_[static_cast<std::size_t>(s)];
-    PlanScratch({patch, cols}, &scratch.col);
-    PlanScratch({patch, cols}, &scratch.gcol);
-    EnsureShape(weight_grad_.shape(), &scratch.wgrad);
-    EnsureShape(bias_grad_.shape(), &scratch.bgrad);
-    scratch.wgrad.SetZero();
-    scratch.bgrad.SetZero();
-    for (std::int64_t i = b0; i < b1; ++i) {
-      const float* gout = grad_out.data() + i * out_chw;
-      // Recompute col for this sample (memory-lean: one col buffer per
-      // chunk, not B).
-      Im2Col(cached_in_.data() + i * in_chw, h, w, out_h, out_w,
-             scratch.col.data());
-      // chunk dW += gout_i [Cout, cols] * col^T [cols, patch]
-      Gemm(false, true, out_channels_, patch, cols, 1.0f, gout, cols,
-           scratch.col.data(), cols, 1.0f, scratch.wgrad.data(), patch);
-      // chunk db += spatial sums
-      RowSumsAccum(out_channels_, cols, gout, scratch.bgrad.data());
-      // gcol = W^T [patch, Cout] * gout_i [Cout, cols]
-      Gemm(true, false, patch, cols, out_channels_, 1.0f, weight_.data(),
-           patch, gout, cols, 0.0f, scratch.gcol.data(), cols);
-      Col2Im(scratch.gcol.data(), h, w, out_h, out_w,
-             grad_in->data() + i * in_chw);
-    }
-  };
-  // The chunk boundaries are fixed, but execution respects the thread
-  // budget: the chunks are grouped over at most `budget` workers (each
-  // worker runs its chunks serially, in chunk order). Any budget — 1,
-  // nested-region serial, or N — therefore runs the exact same per-chunk
-  // arithmetic; only the worker assignment changes.
-  auto run_chunk = [&](int s) {
-    auto [b0, b1] = ShardRange(s, chunks, 0, b);
-    backward_chunk(s, b0, b1);
-  };
-  int budget = ResolveNumThreads(0);
-  if (chunks <= 1 || InParallelRegion() || budget <= 1) {
-    for (int s = 0; s < chunks; ++s) run_chunk(s);
-  } else {
-    RunShards(std::min(chunks, budget), 0, chunks,
-              [&](int /*group*/, std::int64_t c0, std::int64_t c1) {
-                for (std::int64_t s = c0; s < c1; ++s) {
-                  run_chunk(static_cast<int>(s));
-                }
-              });
-  }
-  // Merge the partials in fixed chunk order.
-  for (int s = 0; s < chunks; ++s) {
-    Axpy(1.0f, bwd_scratch_[static_cast<std::size_t>(s)].wgrad,
-         &weight_grad_);
-    Axpy(1.0f, bwd_scratch_[static_cast<std::size_t>(s)].bgrad, &bias_grad_);
+  std::int64_t group = GroupSize(cols);
+  ConvScratch& scratch = ThreadConvScratch();
+  float* panel = scratch.panel.EnsureCapacity(
+      static_cast<std::size_t>(patch * group * cols));
+  float* rows = scratch.rows.EnsureCapacity(
+      static_cast<std::size_t>(out_channels_ * group * cols));
+  const float* x = cached_in_.data();
+  const float* gy = grad_out.data();
+  float* gx = grad_in->data();
+  // The same groups as Forward. dW and db accumulate group after group in
+  // group order, so every thread budget runs the same arithmetic.
+  int groups = static_cast<int>((b + group - 1) / group);
+  for (int g = 0; g < groups; ++g) {
+    auto [g0, g1] = ShardRange(g, groups, 0, b);
+    std::int64_t n = (g1 - g0) * cols;
+    ParallelFor(g0, g1, /*grain=*/1, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        Im2Col(x + i * in_chw, h, w, out_h, out_w, panel + (i - g0) * cols,
+               n);
+        for (std::int64_t co = 0; co < out_channels_; ++co) {
+          const float* src = gy + i * out_chw + co * cols;
+          std::copy(src, src + cols, rows + co * n + (i - g0) * cols);
+        }
+      }
+    });
+    // dW += gout [Cout, n] * panel^T [n, patch]
+    Gemm(false, true, out_channels_, patch, n, 1.0f, rows, n, panel, n, 1.0f,
+         weight_grad_.data(), patch);
+    RowSumsAccum(out_channels_, n, rows, bias_grad_.data());
+    // dcol [patch, n] = W^T [patch, Cout] * gout [Cout, n], into the spent
+    // panel.
+    Gemm(true, false, patch, n, out_channels_, 1.0f, weight_.data(), patch,
+         rows, n, 0.0f, panel, n);
+    ParallelFor(g0, g1, /*grain=*/1, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        float* img = gx + i * in_chw;
+        std::fill(img, img + in_chw, 0.0f);
+        Col2Im(panel + (i - g0) * cols, n, h, w, out_h, out_w, img);
+      }
+    });
   }
 }
 

@@ -10,7 +10,11 @@
 namespace gmreg {
 
 /// 2-d convolution (NCHW) via im2col + GEMM. Weight layout is
-/// [Cout, Cin*Kh*Kw] so the per-sample forward is a single GEMM.
+/// [Cout, Cin*Kh*Kw]. The batch runs in sample groups whose boundaries
+/// depend only on the layer shape and the batch size: each group is one
+/// im2col panel [Cin*Kh*Kw, g*Hout*Wout] and one GEMM per pass, so the
+/// output and all gradients are bitwise identical at every thread budget
+/// (docs/KERNELS.md).
 class Conv2d : public Layer {
  public:
   Conv2d(std::string name, std::int64_t in_channels, std::int64_t out_channels,
@@ -31,10 +35,19 @@ class Conv2d : public Layer {
   }
 
  private:
+  /// Samples per group for `cols` output positions per sample: as many as
+  /// keep the group's panel and its [Cout, g*cols] rows under a fixed float
+  /// bound, and at least one.
+  std::int64_t GroupSize(std::int64_t cols) const;
+  /// Writes one sample's im2col columns into a panel whose rows are `ld`
+  /// floats apart (0 where the window hangs over the padding).
   void Im2Col(const float* img, std::int64_t h, std::int64_t w,
-              std::int64_t out_h, std::int64_t out_w, float* col) const;
-  void Col2Im(const float* col, std::int64_t h, std::int64_t w,
-              std::int64_t out_h, std::int64_t out_w, float* img) const;
+              std::int64_t out_h, std::int64_t out_w, float* col,
+              std::int64_t ld) const;
+  /// Adds one sample's columns (rows `ld` floats apart) back into `img`.
+  void Col2Im(const float* col, std::int64_t ld, std::int64_t h,
+              std::int64_t w, std::int64_t out_h, std::int64_t out_w,
+              float* img) const;
 
   std::int64_t in_channels_;
   std::int64_t out_channels_;
@@ -50,19 +63,6 @@ class Conv2d : public Layer {
   // Int8 snapshot of weight_ for eval-mode forwards, owned by the caller of
   // BindQuantizedWeight (the serving model registry); nullptr = float path.
   const QuantizedMatrix* quantized_weight_ = nullptr;
-  // Per-shard im2col scratch of the batch-parallel forward; one buffer per
-  // shard so workers never share, sized lazily. The serial path is shard 0.
-  std::vector<Tensor> shard_cols_;
-  // Per-chunk scratch of the batch-parallel backward: im2col / gradient
-  // columns plus partial weight/bias gradients, merged in fixed chunk order
-  // so the result is bitwise-identical at every thread budget.
-  struct BwdScratch {
-    Tensor col;    // [Cin*K*K, Hout*Wout]
-    Tensor gcol;   // [Cin*K*K, Hout*Wout]
-    Tensor wgrad;  // [Cout, Cin*K*K]
-    Tensor bgrad;  // [Cout]
-  };
-  std::vector<BwdScratch> bwd_scratch_;
 };
 
 }  // namespace gmreg

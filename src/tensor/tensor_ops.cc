@@ -104,9 +104,9 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   }
   // Pack op(B) once into a caller-local buffer shared read-only by every
   // tile; each tile packs its own A panels (docs/KERNELS.md). The buffer is
-  // arena-served scratch (grow-only, per thread): conv layers call Gemm
-  // from inside pool workers, and whichever worker packs first must not
-  // touch the heap in steady state (docs/MEMORY.md).
+  // arena-served scratch (grow-only, per thread): models call Gemm from
+  // inside pool workers (serving batch workers), and whichever worker packs
+  // first must not touch the heap in steady state (docs/MEMORY.md).
   const GemmGeometry geo = GetGemmGeometry();
   thread_local ScratchBuffer<float> bpack;
   std::int64_t b_floats = PackedBFloats(k, n, geo);
@@ -119,8 +119,8 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   // never on the thread budget — and every C element belongs to exactly one
   // tile, inside which it accumulates in fixed slab order. So any dynamic
   // assignment of tiles to threads yields bitwise-identical output; inside
-  // another parallel region (e.g. the batch-parallel conv passes) the queue
-  // degrades to an in-order serial drain.
+  // another parallel region (e.g. a serving worker's forward pass) the
+  // queue degrades to an in-order serial drain.
   std::int64_t tile_n = geo.nc;  // multiple of geo.nr, so packed panels align
   std::int64_t tile_m = geo.mc;
   auto grid_tiles = [&] {

@@ -21,8 +21,9 @@ class Arena;
 /// concurrently. Tasks must not throw (fatal errors abort via GMREG_CHECK).
 ///
 /// Reentrancy: a task that itself calls Run (nested parallelism, e.g. a
-/// parallel GEMM inside a batch-parallel conv) executes the inner call
-/// serially on the current thread — the pool never deadlocks on itself.
+/// parallel GEMM inside a serving worker's model call) executes the inner
+/// call serially on the current thread — the pool never deadlocks on
+/// itself.
 class ThreadPool {
  public:
   /// Spawns `num_workers` background threads (>= 0; 0 = everything runs on

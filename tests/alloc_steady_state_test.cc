@@ -13,12 +13,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "core/factory.h"
 #include "core/gm_regularizer.h"
+#include "models/alex_cifar10.h"
 #include "nn/activations.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
@@ -28,6 +30,7 @@
 #include "serve/inference_session.h"
 #include "serve/model_registry.h"
 #include "tensor/tensor.h"
+#include "util/arena.h"
 #include "testutil/alloc_count.h"
 #include "testutil/gmreg_testutil.h"
 #include "util/metrics.h"
@@ -160,6 +163,101 @@ TEST(AllocSteadyStateTest, TrainStepBitwiseIdenticalAcrossBudgetsAndRuns) {
     ExpectTensorBitwiseEqual(*b[k].value, *c[k].value,
                              a[k].name + " run vs same-seed rerun");
   }
+}
+
+TEST(AllocSteadyStateTest, AlexTrainEvaluateTrainReachesZeroAllocs) {
+  // The training benchmark's pattern: Alex-CIFAR-10 steps at batch 16, an
+  // evaluation pass at batch 100, then more steps. The steps after the
+  // evaluation pass allocate nothing: neither the heap nor the arena.
+  constexpr std::int64_t kTrainBatch = 16;
+  constexpr std::int64_t kEvalImages = 200;
+  Rng rng(5);
+  AlexCifar10Config config;
+  std::unique_ptr<Sequential> net = BuildAlexCifar10(config, &rng);
+  TrainOptions opts;
+  opts.batch_size = kTrainBatch;
+  opts.learning_rate = 0.003;
+  opts.num_train_samples = 2000;
+  Trainer trainer(net.get(), opts);
+  trainer.AttachToAllWeights(
+      [](const ParamRef& p) -> std::unique_ptr<Regularizer> {
+        GmOptions gm;
+        gm.min_precision = MinPrecisionFromInitStdDev(p.init_stddev);
+        return std::make_unique<GmRegularizer>(p.name, p.value->size(), gm);
+      });
+  auto fill = [&](Tensor* t) {
+    for (std::int64_t i = 0; i < t->size(); ++i) {
+      (*t)[i] = static_cast<float>(rng.NextGaussian());
+    }
+  };
+  auto classes = [&](std::int64_t n) {
+    std::vector<int> labels(static_cast<std::size_t>(n));
+    for (int& l : labels) l = static_cast<int>(rng.NextBounded(10));
+    return labels;
+  };
+  Tensor input({kTrainBatch, 3, config.input_hw, config.input_hw});
+  fill(&input);
+  std::vector<int> labels = classes(kTrainBatch);
+  Tensor eval_images({kEvalImages, 3, config.input_hw, config.input_hw});
+  fill(&eval_images);
+  std::vector<int> eval_labels = classes(kEvalImages);
+
+  ScopedThreadBudget tb(1);
+  for (int i = 0; i < 3; ++i) trainer.Step(input, labels);
+  trainer.EvaluateAccuracy(eval_images, eval_labels, /*eval_batch=*/100);
+  for (int i = 0; i < 2; ++i) trainer.Step(input, labels);
+
+  Counter* steady =
+      MetricsRegistry::Global().counter("gm.arena.steady_state_allocs");
+  std::int64_t steady_before = steady->value();
+  std::size_t arena_before = GlobalArena().used();
+  std::int64_t before = HeapAllocCount();
+  for (int i = 0; i < 4; ++i) trainer.Step(input, labels);
+  std::int64_t delta = HeapAllocCount() - before;
+  EXPECT_EQ(GlobalArena().used(), arena_before);
+  EXPECT_EQ(steady->value(), steady_before);
+  if (ZeroAllocAssertsEnabled()) {
+    EXPECT_EQ(delta, 0) << "training steps after an evaluation pass "
+                           "performed heap allocations";
+  }
+}
+
+TEST(AllocSteadyStateTest, ConvScratchDoesNotGrowWithTheBatch) {
+  // Conv2d's panel and rows are per-thread scratch sized by the layer
+  // shape. After a training pass at batch 16, an evaluation forward at
+  // batch 100 into a pre-sized output takes no memory at all; a panel sized
+  // by the batch would need 100 x 75 x 256 floats (7.3 MB) for conv1. The
+  // passes run on a new thread, whose scratch no earlier test has grown.
+  Rng rng(9);
+  InitSpec init = InitSpec::Gaussian(0.1);
+  Conv2d conv1("conv1", 3, 32, 5, 1, 2, init, &rng);
+  Conv2d conv2("conv2", 32, 32, 5, 1, 2, init, &rng);
+  struct Case {
+    Conv2d* conv;
+    std::int64_t in_c, hw;
+  };
+  ScopedThreadBudget tb(1);
+  std::thread fresh([&] {
+    for (const Case& c : {Case{&conv1, 3, 16}, Case{&conv2, 32, 8}}) {
+      SCOPED_TRACE(c.conv->name());
+      Tensor train_in({16, c.in_c, c.hw, c.hw});
+      Tensor eval_in({100, c.in_c, c.hw, c.hw});
+      Tensor out, gin;
+      c.conv->Forward(train_in, &out, /*train=*/true);
+      Tensor gout(out.shape());
+      c.conv->Backward(gout, &gin);
+      Tensor eval_out({100, 32, c.hw, c.hw});
+      std::size_t arena_before = GlobalArena().used();
+      std::int64_t before = HeapAllocCount();
+      c.conv->Forward(eval_in, &eval_out, /*train=*/false);
+      std::int64_t delta = HeapAllocCount() - before;
+      EXPECT_EQ(GlobalArena().used(), arena_before);
+      if (ZeroAllocAssertsEnabled()) {
+        EXPECT_EQ(delta, 0);
+      }
+    }
+  });
+  fresh.join();
 }
 
 // Train-and-checkpoint setup for the serving tests, mirroring the

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "data/batch.h"
@@ -222,6 +223,13 @@ struct Table2Row {
   int features;
   const char* type;
 };
+
+// Names the row in discovered ctest names; gtest's default would dump the
+// struct's bytes, whose string pointers change from build to build.
+void PrintTo(const Table2Row& row, std::ostream* os) {
+  *os << row.name << " " << row.samples << "x" << row.features << " "
+      << row.type;
+}
 
 class Table2Test : public ::testing::TestWithParam<Table2Row> {};
 

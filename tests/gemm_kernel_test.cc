@@ -481,22 +481,27 @@ TEST(ElementwiseKernelTest, AxpyMatchesNaive) {
 }
 
 // ---------------------------------------------------------------------------
-// Conv backward: batch-parallel with per-chunk partial gradients merged in
-// fixed chunk order — bitwise identical at every thread budget.
+// Conv2d: the batch runs in sample groups fixed by the layer shape and the
+// batch size, one GEMM per group and pass, with dW accumulating group after
+// group — output and gradients are bitwise identical at every thread budget.
 // ---------------------------------------------------------------------------
 
-struct ConvGrads {
+struct ConvPass {
+  std::vector<float> out;
   std::vector<float> weight_grad;
   std::vector<float> bias_grad;
   std::vector<float> grad_in;
 };
 
-ConvGrads RunConvBackwardAtBudget(int budget) {
+// Batch 17 splits both layers into several groups: the 3->5 layer into
+// groups of 3-4 samples, the wider 16->32 one, with larger GEMMs, into one
+// group per sample.
+ConvPass RunConvAtBudget(int budget, int in_c, int out_c, std::int64_t hw) {
   SetDefaultNumThreads(budget);
   Rng rng(0xFEED);
-  Conv2d conv("c", /*in_channels=*/3, /*out_channels=*/5, /*kernel=*/3,
-              /*stride=*/1, /*padding=*/1, InitSpec::Gaussian(0.1), &rng);
-  Tensor in({6, 3, 9, 9});
+  Conv2d conv("c", in_c, out_c, /*kernel=*/3, /*stride=*/1, /*padding=*/1,
+              InitSpec::Gaussian(0.1), &rng);
+  Tensor in({17, in_c, hw, hw});
   FillGaussian(&rng, 0.0, 1.0, &in);
   Tensor out;
   conv.Forward(in, &out, /*train=*/true);
@@ -506,34 +511,44 @@ ConvGrads RunConvBackwardAtBudget(int budget) {
   conv.Backward(gout, &gin);
   std::vector<ParamRef> params;
   conv.CollectParams(&params);
-  ConvGrads grads;
+  ConvPass pass;
+  pass.out.assign(out.data(), out.data() + out.size());
   for (const auto& p : params) {
     const Tensor& g = *p.grad;
     std::vector<float>& dst =
-        p.name == "c/weight" ? grads.weight_grad : grads.bias_grad;
+        p.name == "c/weight" ? pass.weight_grad : pass.bias_grad;
     dst.assign(g.data(), g.data() + g.size());
   }
-  grads.grad_in.assign(gin.data(), gin.data() + gin.size());
-  return grads;
+  pass.grad_in.assign(gin.data(), gin.data() + gin.size());
+  return pass;
 }
 
 TEST(ConvBackwardDeterminismTest, BitIdenticalAcrossThreadBudgets) {
   KernelEnvGuard guard;
-  ConvGrads serial = RunConvBackwardAtBudget(1);
-  ASSERT_FALSE(serial.weight_grad.empty());
-  for (int budget : {2, 4, 8}) {
-    ConvGrads parallel = RunConvBackwardAtBudget(budget);
-    EXPECT_EQ(0, std::memcmp(serial.weight_grad.data(),
-                             parallel.weight_grad.data(),
-                             serial.weight_grad.size() * sizeof(float)))
-        << "weight_grad budget=" << budget;
-    EXPECT_EQ(0, std::memcmp(serial.bias_grad.data(),
-                             parallel.bias_grad.data(),
-                             serial.bias_grad.size() * sizeof(float)))
-        << "bias_grad budget=" << budget;
-    EXPECT_EQ(0, std::memcmp(serial.grad_in.data(), parallel.grad_in.data(),
-                             serial.grad_in.size() * sizeof(float)))
-        << "grad_in budget=" << budget;
+  struct Shape {
+    int in_c, out_c;
+    std::int64_t hw;
+  };
+  for (const Shape& layer : {Shape{3, 5, 24}, Shape{16, 32, 16}}) {
+    SCOPED_TRACE("in_c=" + std::to_string(layer.in_c));
+    ConvPass serial = RunConvAtBudget(1, layer.in_c, layer.out_c, layer.hw);
+    ASSERT_FALSE(serial.weight_grad.empty());
+    for (int budget : {2, 4, 8}) {
+      ConvPass parallel =
+          RunConvAtBudget(budget, layer.in_c, layer.out_c, layer.hw);
+      auto same = [](const std::vector<float>& a,
+                     const std::vector<float>& b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+      };
+      EXPECT_TRUE(same(serial.out, parallel.out)) << "out budget=" << budget;
+      EXPECT_TRUE(same(serial.weight_grad, parallel.weight_grad))
+          << "weight_grad budget=" << budget;
+      EXPECT_TRUE(same(serial.bias_grad, parallel.bias_grad))
+          << "bias_grad budget=" << budget;
+      EXPECT_TRUE(same(serial.grad_in, parallel.grad_in))
+          << "grad_in budget=" << budget;
+    }
   }
 }
 
