@@ -61,9 +61,10 @@ BENCHMARK(BM_EStepGreg)
     ->Args({89440, 2})
     ->Args({89440, 8});
 
-// Thread scaling of the sharded E-step (the pass the lazy update
-// amortizes): same kernel, explicit thread budgets. The 1-thread row is the
-// exact serial path, so speedup = row(1) / row(T) at equal M.
+// Thread scaling of the E-step (the pass the lazy update amortizes): same
+// kernel over the same kChunkGrain chunks, explicit thread budgets. The
+// 1-thread row runs every chunk on the calling thread, so speedup =
+// row(1) / row(T) at equal M.
 void BM_EStepGregThreads(benchmark::State& state) {
   std::int64_t n = state.range(0);
   int threads = static_cast<int>(state.range(1));
@@ -76,8 +77,9 @@ void BM_EStepGregThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(greg.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(StrFormat("threads=%d shards=%d", threads,
-                           ComputeNumShards(n, kEStepGrain, threads)));
+  state.SetLabel(StrFormat("threads=%d chunks=%lld", threads,
+                           static_cast<long long>((n + kChunkGrain - 1) /
+                                                  kChunkGrain)));
 }
 BENCHMARK(BM_EStepGregThreads)
     ->Args({1 << 17, 1})
@@ -88,7 +90,8 @@ BENCHMARK(BM_EStepGregThreads)
     ->Args({1 << 20, 4});
 
 // Thread scaling of the full M-step pass (E-step with sufficient statistics
-// + closed-form update), the second full pass of the paper's cost model.
+// + closed-form update): the pass an Ig tick runs when no greg refresh is
+// due on the same iteration.
 void BM_MStepPassThreads(benchmark::State& state) {
   std::int64_t n = state.range(0);
   int threads = static_cast<int>(state.range(1));
@@ -263,7 +266,6 @@ void RunKernelSweep() {
   SetDefaultNumThreads(1);
   bench::JsonSummary summary("kernels", "synthetic-gemm-sweep");
   summary.AddText("kernel", GetKernelOps().name);
-  summary.AddInt("simd", SimdKernelsEnabled() ? 1 : 0);
   double min_seconds = GetBenchScale() == BenchScale::kSmoke ? 0.05 : 0.25;
   struct Shape {
     const char* key;  // JSON key prefix

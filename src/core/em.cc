@@ -34,7 +34,7 @@ namespace {
 // the E-step's determinism contract, docs/KERNELS.md).
 template <int KK, typename T>
 void EStepFixedK(const GaussianMixture& gm, const T* w, std::int64_t n,
-                 T* greg_out, GmSuffStats* stats) {
+                 T* greg_out, double* resp_sum, double* resp_w2_sum) {
   double lc[KK];
   double lam[KK];
   const std::vector<double>& log_coef = gm.log_coef();
@@ -63,39 +63,35 @@ void EStepFixedK(const GaussianMixture& gm, const T* w, std::int64_t n,
       for (int k = 0; k < KK; ++k) acc += r[k] * lam[k];
       greg_out[m] = static_cast<T>(acc * x);
     }
-    if (stats != nullptr) {
+    if (resp_sum != nullptr) {
       for (int k = 0; k < KK; ++k) {
-        auto ks = static_cast<std::size_t>(k);
-        stats->resp_sum[ks] += r[k];
-        stats->resp_w2_sum[ks] += r[k] * x * x;
+        resp_sum[k] += r[k];
+        resp_w2_sum[k] += r[k] * x * x;
       }
     }
   }
 }
 
-// Shared E-step kernel over either float or double input. K is small (<= 8
-// in practice), so responsibilities live in a fixed-size stack buffer; the
-// common component counts dispatch to the unrolled EStepFixedK variants.
+// Shared E-step kernel over either float or double input: writes greg_out
+// (unless null) and adds the responsibilities into resp_sum / resp_w2_sum
+// (unless null). K is small (<= 8 in practice), so responsibilities live in
+// a fixed-size stack buffer; the common component counts dispatch to the
+// unrolled EStepFixedK variants.
 template <typename T>
 void EStepImpl(const GaussianMixture& gm, const T* w, std::int64_t n,
-               T* greg_out, GmSuffStats* stats) {
+               T* greg_out, double* resp_sum, double* resp_w2_sum) {
   int kk = gm.num_components();
-  GMREG_CHECK_LE(kk, 64);
-  if (stats != nullptr) {
-    GMREG_CHECK_EQ(static_cast<int>(stats->resp_sum.size()), kk);
-    stats->count += n;
-  }
   switch (kk) {
     case 1:
-      return EStepFixedK<1>(gm, w, n, greg_out, stats);
+      return EStepFixedK<1>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
     case 2:
-      return EStepFixedK<2>(gm, w, n, greg_out, stats);
+      return EStepFixedK<2>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
     case 3:
-      return EStepFixedK<3>(gm, w, n, greg_out, stats);
+      return EStepFixedK<3>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
     case 4:
-      return EStepFixedK<4>(gm, w, n, greg_out, stats);
+      return EStepFixedK<4>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
     case 8:
-      return EStepFixedK<8>(gm, w, n, greg_out, stats);
+      return EStepFixedK<8>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
     default:
       break;
   }
@@ -109,59 +105,49 @@ void EStepImpl(const GaussianMixture& gm, const T* w, std::int64_t n,
       for (int k = 0; k < kk; ++k) acc += r[k] * lambda[static_cast<std::size_t>(k)];
       greg_out[m] = static_cast<T>(acc * x);
     }
-    if (stats != nullptr) {
+    if (resp_sum != nullptr) {
       for (int k = 0; k < kk; ++k) {
-        auto ks = static_cast<std::size_t>(k);
-        stats->resp_sum[ks] += r[k];
-        stats->resp_w2_sum[ks] += r[k] * x * x;
+        resp_sum[k] += r[k];
+        resp_w2_sum[k] += r[k] * x * x;
       }
     }
   }
 }
 
-// Shards the fused pass over the thread budget. greg_out slices are
-// disjoint, so that output is bitwise identical to serial no matter the
-// budget; the per-shard statistics are merged in fixed shard order, making
-// the reduction bitwise-reproducible for a given shard count.
+// greg alone is elementwise, so any split gives the same bits; the
+// statistics are summed per fixed chunk and added in chunk order.
 template <typename T>
 void EStepDispatch(const GaussianMixture& gm, const T* w, std::int64_t n,
                    T* greg_out, GmSuffStats* stats, int num_threads) {
-  int shards = ComputeNumShards(n, kEStepGrain, ResolveNumThreads(num_threads));
-  if (shards <= 1) {
-    EStepImpl(gm, w, n, greg_out, stats);
+  int kk = gm.num_components();
+  GMREG_CHECK_LE(kk, 64);
+  if (stats == nullptr) {
+    if (greg_out == nullptr) return;
+    ParallelFor(
+        0, n, kChunkGrain,
+        [&](std::int64_t b, std::int64_t e) {
+          EStepImpl(gm, w + b, e - b, greg_out + b, nullptr, nullptr);
+        },
+        num_threads);
     return;
   }
-  // Persistent per-caller shard accumulators: the stats-carrying E-step
-  // runs inside every training step (GmRegularizer::UptGmParam), so the
-  // steady state must not allocate. Reset() reuses the inner vectors'
-  // capacity; EStep never nests (workers run EStepImpl directly), so the
-  // caller's buffer is never re-entered.
-  thread_local std::vector<GmSuffStats> shard_stats;
-  // Hoisted data pointer: a thread_local named inside the worker lambda
-  // would re-resolve to each worker's own (empty) vector, so the workers
-  // must go through the caller's pointer instead.
-  GmSuffStats* shard_ptr = nullptr;
-  if (stats != nullptr) {
-    GMREG_CHECK_EQ(static_cast<int>(stats->resp_sum.size()),
-                   gm.num_components());
-    if (static_cast<int>(shard_stats.size()) < shards) {
-      shard_stats.resize(static_cast<std::size_t>(shards));
-    }
-    for (int s = 0; s < shards; ++s) {
-      shard_stats[static_cast<std::size_t>(s)].Reset(gm.num_components());
-    }
-    shard_ptr = shard_stats.data();
+  GMREG_CHECK_EQ(static_cast<int>(stats->resp_sum.size()), kk);
+  // sums = [resp_sum(K) | resp_w2_sum(K)]; 2K <= kMaxChunkedSumWidth.
+  double sums[kMaxChunkedSumWidth] = {};
+  ParallelChunkedSum(
+      0, n, 2 * kk,
+      [&](std::int64_t b, std::int64_t e, double* partial) {
+        EStepImpl(gm, w + b, e - b,
+                  greg_out == nullptr ? nullptr : greg_out + b, partial,
+                  partial + kk);
+      },
+      sums, num_threads);
+  for (int k = 0; k < kk; ++k) {
+    auto ks = static_cast<std::size_t>(k);
+    stats->resp_sum[ks] += sums[k];
+    stats->resp_w2_sum[ks] += sums[kk + k];
   }
-  RunShards(shards, 0, n, [&](int s, std::int64_t b, std::int64_t e) {
-    EStepImpl(gm, w + b, e - b,
-              greg_out == nullptr ? nullptr : greg_out + b,
-              shard_ptr == nullptr ? nullptr : shard_ptr + s);
-  });
-  if (stats != nullptr) {
-    for (int s = 0; s < shards; ++s) {
-      stats->Merge(shard_stats[static_cast<std::size_t>(s)]);
-    }
-  }
+  stats->count += n;
 }
 
 }  // namespace

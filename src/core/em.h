@@ -9,11 +9,6 @@
 
 namespace gmreg {
 
-/// Elements per shard of a parallel E-step / Penalty pass. At the measured
-/// ~30 M dims/s a shard is >= ~100us of work, far above the pool dispatch
-/// cost; exposed so tests can place probes on shard boundaries.
-inline constexpr std::int64_t kEStepGrain = 4096;
-
 /// Sufficient statistics of one E-step over M parameter dimensions:
 ///   resp_sum[k]    = sum_m r_k(w_m)            (Eqs. 13/17 numerators)
 ///   resp_w2_sum[k] = sum_m r_k(w_m) * w_m^2    (Eq. 13 denominator)
@@ -24,9 +19,8 @@ struct GmSuffStats {
 
   void Reset(int num_components);
 
-  /// Adds `other`'s accumulators into this. The parallel E-step merges its
-  /// per-shard statistics in fixed shard order, so a given thread budget
-  /// always produces bitwise-identical sums.
+  /// Adds `other`'s accumulators into this. Dist folds its ranks'
+  /// statistics this way, in rank order.
   void Merge(const GmSuffStats& other);
 };
 
@@ -45,11 +39,11 @@ struct GmBounds {
 ///    (Eq. 10) into greg_out[m];
 ///  * if `stats` != nullptr, accumulates the sufficient statistics.
 ///
-/// The pass is sharded over `num_threads` workers (<= 0 picks the
-/// GMREG_NUM_THREADS / hardware default, see util/parallel.h): every worker
-/// writes its own disjoint greg_out slice — bitwise identical to the serial
-/// pass — and accumulates a private GmSuffStats, merged in fixed shard order
-/// (deterministic per thread budget, within ~1e-15 of serial).
+/// The pass runs on up to `num_threads` threads (<= 0 picks the
+/// GMREG_NUM_THREADS / hardware default, see util/parallel.h). greg_out is
+/// elementwise, and the statistics are summed per fixed kChunkGrain chunk
+/// and added in chunk order (ParallelChunkedSum), so both outputs are
+/// bitwise identical at every budget.
 void EStep(const GaussianMixture& gm, const float* w, std::int64_t n,
            float* greg_out, GmSuffStats* stats, int num_threads = 0);
 

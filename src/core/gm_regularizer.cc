@@ -67,35 +67,44 @@ int GmRegularizer::num_threads_resolved() const {
 }
 
 void GmRegularizer::CalcRegGrad(const Tensor& w) {
-  GMREG_CHECK_EQ(w.size(), num_dims_);
-  Stopwatch watch;
-  if (estep_executor_ != nullptr) {
-    estep_executor_->RunEStep(gm_, w.data(), num_dims_, greg_.data(),
-                              /*stats=*/nullptr);
-  } else {
-    EStep(gm_, w.data(), num_dims_, greg_.data(), /*stats=*/nullptr,
-          options_.num_threads);
-  }
-  estep_seconds_ += watch.ElapsedSeconds();
-  ++estep_count_;
-  GlobalGmCounters().esteps->Add(1);
+  RunPass(w, /*refresh_greg=*/true, /*update_gm=*/false);
 }
 
 void GmRegularizer::UptGmParam(const Tensor& w) {
+  RunPass(w, /*refresh_greg=*/false, /*update_gm=*/true);
+}
+
+void GmRegularizer::RunPass(const Tensor& w, bool refresh_greg,
+                            bool update_gm) {
   GMREG_CHECK_EQ(w.size(), num_dims_);
   Stopwatch watch;
-  stats_.Reset(gm_.num_components());
-  if (estep_executor_ != nullptr) {
-    estep_executor_->RunEStep(gm_, w.data(), num_dims_, /*greg_out=*/nullptr,
-                              &stats_);
-  } else {
-    EStep(gm_, w.data(), num_dims_, /*greg_out=*/nullptr, &stats_,
-          options_.num_threads);
+  float* greg_out = refresh_greg ? greg_.data() : nullptr;
+  GmSuffStats* stats = nullptr;
+  if (update_gm) {
+    stats_.Reset(gm_.num_components());
+    stats = &stats_;
   }
-  MStep(stats_, hyper_, options_.bounds, &gm_);
-  mstep_seconds_ += watch.ElapsedSeconds();
-  ++mstep_count_;
-  GlobalGmCounters().msteps->Add(1);
+  // One read of w under the current mixture serves both outputs: the greg
+  // written here is the one the caller adds this step, and the statistics
+  // feed the M-step below, which only then moves the mixture.
+  if (estep_executor_ != nullptr) {
+    estep_executor_->RunEStep(gm_, w.data(), num_dims_, greg_out, stats);
+  } else {
+    EStep(gm_, w.data(), num_dims_, greg_out, stats, options_.num_threads);
+  }
+  double estep_s = 0.0;
+  if (refresh_greg) {
+    estep_s = watch.ElapsedSeconds();
+    estep_seconds_ += estep_s;
+    ++estep_count_;
+    GlobalGmCounters().esteps->Add(1);
+  }
+  if (update_gm) {
+    MStep(stats_, hyper_, options_.bounds, &gm_);
+    mstep_seconds_ += watch.ElapsedSeconds() - estep_s;
+    ++mstep_count_;
+    GlobalGmCounters().msteps->Add(1);
+  }
 }
 
 void GmRegularizer::AccumulateGradient(const Tensor& w,
@@ -104,33 +113,31 @@ void GmRegularizer::AccumulateGradient(const Tensor& w,
                                        Tensor* grad) {
   GMREG_CHECK_EQ(w.size(), num_dims_);
   GMREG_CHECK_EQ(grad->size(), num_dims_);
-  // Algorithm 2, lines 4-7: E-step when inside warmup or on the Im grid.
-  if (options_.lazy.ShouldUpdateGreg(iteration, epoch)) {
-    CalcRegGrad(w);
-  } else {
+  // Algorithm 2: lines 4-7 refresh greg when inside warmup or on the Im
+  // grid, lines 9-11 update the mixture when inside warmup or on the Ig
+  // grid. Both read the same w under the same mixture, so one pass serves
+  // whichever is due.
+  bool refresh_greg = options_.lazy.ShouldUpdateGreg(iteration, epoch);
+  bool update_gm = options_.lazy.ShouldUpdateGm(iteration, epoch);
+  if (!refresh_greg) {
     ++greg_cache_hits_;
     GlobalGmCounters().greg_cache_hits->Add(1);
   }
+  if (refresh_greg || update_gm) RunPass(w, refresh_greg, update_gm);
   // Line 8: use the (possibly cached) greg.
   Axpy(static_cast<float>(scale), greg_, grad);
-  // Lines 9-11: M-step when inside warmup or on the Ig grid.
-  if (options_.lazy.ShouldUpdateGm(iteration, epoch)) {
-    UptGmParam(w);
-  }
 }
 
 double GmRegularizer::Penalty(const Tensor& w) const {
   GMREG_CHECK_EQ(w.size(), num_dims_);
   const float* wp = w.data();
-  // Shard-order reduction: bitwise-reproducible for a given thread budget.
-  return ParallelReduce(
-      std::int64_t{0}, num_dims_, kEStepGrain, 0.0,
+  return ParallelChunkedSum(
+      0, num_dims_,
       [&](std::int64_t b, std::int64_t e) {
         double acc = 0.0;
         for (std::int64_t m = b; m < e; ++m) acc -= gm_.LogDensity(wp[m]);
         return acc;
       },
-      [](double acc, double partial) { return acc + partial; },
       options_.num_threads);
 }
 
@@ -138,13 +145,13 @@ bool GmRegularizer::SaveState(std::string* out) const {
   std::ostringstream oss;
   oss.precision(17);
   int k = gm_.num_components();
-  oss << "gmreg-state v2 " << k;
+  oss << "gmreg-state v3 " << k;
   for (double p : gm_.pi()) oss << " " << p;
   for (double l : gm_.lambda()) oss << " " << l;
   oss << " hyper " << hyper_.a << " " << hyper_.b;
   for (double a : hyper_.alpha) oss << " " << a;
   oss << " counters " << estep_count_ << " " << mstep_count_ << " "
-      << greg_cache_hits_ << " " << estep_seconds_ << " " << mstep_seconds_;
+      << greg_cache_hits_;
   oss << " greg " << num_dims_;
   const float* g = greg_.data();
   for (std::int64_t m = 0; m < num_dims_; ++m) {
@@ -161,7 +168,7 @@ Status GmRegularizer::LoadState(const std::string& text) {
   if (!(iss >> magic >> version >> k) || magic != "gmreg-state") {
     return Status::InvalidArgument("not a 'gmreg-state' record");
   }
-  if (version != "v2") {
+  if (version != "v2" && version != "v3") {
     return Status::InvalidArgument("unsupported gmreg-state version '" +
                                    version + "'");
   }
@@ -192,8 +199,10 @@ Status GmRegularizer::LoadState(const std::string& text) {
     }
   }
   std::int64_t esteps = 0, msteps = 0, hits = 0;
-  double estep_s = 0.0, mstep_s = 0.0;
-  if (!(iss >> marker >> esteps >> msteps >> hits >> estep_s >> mstep_s) ||
+  // v2 also carried the E/M wall-clock seconds; they are read and dropped.
+  double v2_seconds[2] = {};
+  if (!(iss >> marker >> esteps >> msteps >> hits) ||
+      (version == "v2" && !(iss >> v2_seconds[0] >> v2_seconds[1])) ||
       marker != "counters" || esteps < 0 || msteps < 0 || hits < 0) {
     return Status::InvalidArgument("bad counters section in gmreg-state");
   }
@@ -232,8 +241,6 @@ Status GmRegularizer::LoadState(const std::string& text) {
   estep_count_ = esteps;
   mstep_count_ = msteps;
   greg_cache_hits_ = hits;
-  estep_seconds_ = estep_s;
-  mstep_seconds_ = mstep_s;
   greg_ = std::move(greg);
   return Status::Ok();
 }

@@ -50,9 +50,9 @@ struct GmOptions {
   /// tenth of the initialized model-parameter precision; callers usually
   /// derive it via MinPrecisionFromInitStdDev.
   double min_precision = 10.0;
-  /// Thread budget for the E-step / M-step / Penalty passes: <= 0 uses the
-  /// GMREG_NUM_THREADS / hardware default (util/parallel.h), 1 forces the
-  /// serial path, > 1 shards the passes deterministically.
+  /// Thread budget for the E-step / Penalty passes: <= 0 uses the
+  /// GMREG_NUM_THREADS / hardware default (util/parallel.h), 1 runs them on
+  /// the calling thread. Results are bitwise identical at every budget.
   int num_threads = 0;
   LazySchedule lazy;
   GmBounds bounds;
@@ -63,8 +63,7 @@ double MinPrecisionFromInitStdDev(double init_stddev);
 
 /// Pluggable execution backend for the fused E-step pass. By default a
 /// GmRegularizer runs EStep() in process; installing an executor reroutes
-/// both CalcRegGrad (greg refresh) and UptGmParam (suffstat pass) through
-/// it — this is how the distributed coordinator (src/dist) offloads the
+/// every pass — greg refresh, suffstats, or both at once — through it — this is how the distributed coordinator (src/dist) offloads the
 /// E-step over worker weight slices. Implementations must honor the
 /// determinism contract: for a fixed executor configuration the outputs
 /// are bitwise reproducible, greg elementwise and the suffstats through a
@@ -113,16 +112,19 @@ class GmRegularizer : public Regularizer {
   void AppendMetrics(const std::string& prefix,
                      MetricsRecord* record) const override;
 
-  /// Serializes the full adaptive state as one `gmreg-state v2` line: the
+  /// Serializes the full adaptive state as one `gmreg-state v3` line: the
   /// mixture (π, λ), the Dirichlet/Gamma hypers (a, b, α — persisted
   /// verbatim, not re-derived, unlike SetMixture), the lazy-update counters
-  /// and cumulative E/M wall-times, and the cached `greg` vector. With all
-  /// of these restored, a resumed run replays Algorithm 2 bit-exactly even
-  /// mid-interval (the cached greg keeps serving until the next Im tick).
+  /// and the cached `greg` vector. With all of these restored, a resumed
+  /// run replays Algorithm 2 bit-exactly even mid-interval (the cached greg
+  /// keeps serving until the next Im tick). The record is a pure function
+  /// of the training trajectory: the E/M wall-clock seconds are telemetry,
+  /// not state, so a resumed process counts them from 0.
   bool SaveState(std::string* out) const override;
 
-  /// Parses a SaveState line. The instance must have the same num_dims as
-  /// the writer (FailedPrecondition otherwise); K may differ from the
+  /// Parses a SaveState line, v3 or the older v2 (whose two wall-clock
+  /// seconds it reads and drops). The instance must have the same num_dims
+  /// as the writer (FailedPrecondition otherwise); K may differ from the
   /// configured one (the hypers come from the checkpoint). Rejects
   /// malformed, non-finite, or trailing-garbage input.
   Status LoadState(const std::string& text) override;
@@ -134,11 +136,11 @@ class GmRegularizer : public Regularizer {
   void CalcRegGrad(const Tensor& w);
 
   /// uptGMParam: recomputes responsibilities over the current w and applies
-  /// the EM M-step (Eqs. 13/17). A separate full pass over the parameter
-  /// vector, exactly as the paper costs it ("the update of GM parameters
-  /// includes calculating the responsibility value as well as calculating
-  /// new lambda and pi using the high-dimensional model parameter vector",
-  /// Sec. V-F2) — this is why raising Ig alone saves time in Fig. 6.
+  /// the EM M-step (Eqs. 13/17) — one pass over the parameter vector, as
+  /// the paper costs it (Sec. V-F2). When AccumulateGradient finds both
+  /// due on one iteration, the suffstats ride along in CalcRegGrad's pass
+  /// instead of taking a second one: both read the same w under the same
+  /// mixture, so the greg and the new mixture are the same bits.
   void UptGmParam(const Tensor& w);
 
   /// Warm-starts the mixture (e.g. from a previous run via
@@ -168,10 +170,12 @@ class GmRegularizer : public Regularizer {
   /// running an E-step — the work Algorithm 2's Im interval saves. Together
   /// with estep_count() this is the lazy-update cache hit/recompute split.
   std::int64_t greg_cache_hits() const { return greg_cache_hits_; }
-  /// Cumulative wall-clock spent in CalcRegGrad (E-step) passes; with
-  /// estep_count() this gives benches per-call cost and thread scaling.
+  /// Cumulative wall-clock of the passes that refreshed greg, including
+  /// the suffstats of a fused pass; with estep_count() this gives benches
+  /// per-call cost and thread scaling.
   double estep_seconds() const { return estep_seconds_; }
-  /// Cumulative wall-clock spent in UptGmParam (M-step) passes.
+  /// Cumulative wall-clock of the rest of the M-steps: the closed-form
+  /// update, plus the pass itself when it refreshed no greg.
   double mstep_seconds() const { return mstep_seconds_; }
   /// The thread budget the passes actually run with (options().num_threads
   /// resolved against the GMREG_NUM_THREADS / hardware default).
@@ -180,6 +184,11 @@ class GmRegularizer : public Regularizer {
   const Tensor& greg() const { return greg_; }
 
  private:
+  /// One E-step pass over w under the current mixture: writes greg when
+  /// `refresh_greg`, and when `update_gm` accumulates the suffstats and
+  /// then applies the M-step.
+  void RunPass(const Tensor& w, bool refresh_greg, bool update_gm);
+
   std::string param_name_;
   std::int64_t num_dims_;
   GmOptions options_;

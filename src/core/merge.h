@@ -51,9 +51,9 @@ std::string EncodeGmSuffStats(const GmSuffStats& stats);
 Status DecodeGmSuffStats(const std::string& text, GmSuffStats* out);
 
 /// Decodes every line of `encoded` and folds it into `*out` in index
-/// (= worker rank) order — the wire-side mirror of the fixed-shard-order
-/// merge the parallel E-step does in process. `*out` must already be
-/// Reset() to the right component count.
+/// (= worker rank) order — the wire-side mirror of the chunk-order fold
+/// the E-step does in process. `*out` must already be Reset() to the
+/// right component count.
 Status MergeEncodedSuffStats(const std::vector<std::string>& encoded,
                              GmSuffStats* out);
 

@@ -62,7 +62,8 @@ void WireWriter::PutString(const std::string& s) {
 
 bool WireReader::Take(void* dst, std::size_t n) {
   if (payload_.size() - pos_ < n) return false;
-  std::memcpy(dst, payload_.data() + pos_, n);
+  // An empty array's destination may be null, which memcpy does not allow.
+  if (n > 0) std::memcpy(dst, payload_.data() + pos_, n);
   pos_ += n;
   return true;
 }

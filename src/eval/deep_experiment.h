@@ -58,7 +58,7 @@ struct DeepExperimentResult {
   std::vector<LayerGm> learned;  ///< merged per-layer GMs (kGm only)
   std::int64_t num_weight_dims = 0;  ///< total regularized dimensions
   std::int64_t total_esteps = 0;  ///< E-step passes across all layers (kGm)
-  std::int64_t total_msteps = 0;  ///< M-step passes across all layers (kGm)
+  std::int64_t total_msteps = 0;  ///< M-steps across all layers (kGm)
 };
 
 /// Builds the model, attaches the requested regularization, trains on

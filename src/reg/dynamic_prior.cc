@@ -8,12 +8,6 @@
 #include "util/parallel.h"
 
 namespace gmreg {
-namespace {
-
-constexpr std::int64_t kChunkGrain = 4096;
-
-}  // namespace
-
 const char* DynPriorScheduleName(DynPriorSchedule schedule) {
   switch (schedule) {
     case DynPriorSchedule::kExp:
@@ -82,7 +76,7 @@ void DynamicPriorReg::AccumulateGradient(const Tensor& w,
 double DynamicPriorReg::Penalty(const Tensor& w) const {
   const float* wp = w.data();
   double sq = ParallelChunkedSum(
-      0, w.size(), kChunkGrain, [&](std::int64_t b, std::int64_t e) {
+      0, w.size(), [&](std::int64_t b, std::int64_t e) {
         double acc = 0.0;
         for (std::int64_t m = b; m < e; ++m) {
           double x = static_cast<double>(wp[m]);

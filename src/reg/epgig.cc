@@ -11,11 +11,6 @@
 namespace gmreg {
 namespace {
 
-// Elements per chunk of the deterministic reductions — the same order of
-// magnitude as core/em.h's kEStepGrain (reg/ cannot include core/), so a
-// chunk is well above the pool dispatch cost.
-constexpr std::int64_t kChunkGrain = 4096;
-
 double Clamp(double v, double lo, double hi) {
   return std::min(std::max(v, lo), hi);
 }
@@ -47,7 +42,7 @@ void EpGigReg::UpdateHyper(const Tensor& w) {
   if (options_.mode == EpGigMode::kLaplace) {
     // Sufficient statistic of the exponential mixing: S1 = sum |w_m|.
     suffstat = ParallelChunkedSum(
-        0, num_dims_, kChunkGrain, [&](std::int64_t b, std::int64_t e) {
+        0, num_dims_, [&](std::int64_t b, std::int64_t e) {
           double acc = 0.0;
           for (std::int64_t m = b; m < e; ++m) {
             acc += std::fabs(static_cast<double>(wp[m]));
@@ -68,7 +63,7 @@ void EpGigReg::UpdateHyper(const Tensor& w) {
     double nu = options_.nu;
     double tau = hyper_;
     suffstat = ParallelChunkedSum(
-        0, num_dims_, kChunkGrain, [&](std::int64_t b, std::int64_t e) {
+        0, num_dims_, [&](std::int64_t b, std::int64_t e) {
           double acc = 0.0;
           for (std::int64_t m = b; m < e; ++m) {
             double x = static_cast<double>(wp[m]);
@@ -130,7 +125,7 @@ double EpGigReg::Penalty(const Tensor& w) const {
   auto md = static_cast<double>(num_dims_);
   if (options_.mode == EpGigMode::kLaplace) {
     double s1 = ParallelChunkedSum(
-        0, num_dims_, kChunkGrain, [&](std::int64_t b, std::int64_t e) {
+        0, num_dims_, [&](std::int64_t b, std::int64_t e) {
           double acc = 0.0;
           for (std::int64_t m = b; m < e; ++m) {
             acc += std::fabs(static_cast<double>(wp[m]));
@@ -142,7 +137,7 @@ double EpGigReg::Penalty(const Tensor& w) const {
   double nu = options_.nu;
   double tau = hyper_;
   double acc = ParallelChunkedSum(
-      0, num_dims_, kChunkGrain, [&](std::int64_t b, std::int64_t e) {
+      0, num_dims_, [&](std::int64_t b, std::int64_t e) {
         double part = 0.0;
         for (std::int64_t m = b; m < e; ++m) {
           double x = static_cast<double>(wp[m]);

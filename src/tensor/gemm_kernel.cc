@@ -202,8 +202,6 @@ const KernelOps& GetKernelOps() {
   return EnvResolvedOps();
 }
 
-bool SimdKernelsEnabled() { return GetKernelOps().tier != KernelTier::kScalar; }
-
 GemmGeometry GetGemmGeometry() {
   const KernelOps& ops = GetKernelOps();
   return internal::AutotuneGeometry(ops.mr, ops.nr,
@@ -220,14 +218,6 @@ bool ForceKernelTierForTesting(KernelTier tier) {
 
 void ClearKernelTierForTesting() {
   g_forced_tier.store(-1, std::memory_order_relaxed);
-}
-
-void ForceScalarKernelsForTesting(bool force) {
-  if (force) {
-    ForceKernelTierForTesting(KernelTier::kScalar);
-  } else {
-    ClearKernelTierForTesting();
-  }
 }
 
 CacheGeometry GetCacheGeometry() {

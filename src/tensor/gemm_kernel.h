@@ -92,9 +92,6 @@ struct KernelOps {
 /// 0|off spelling of scalar).
 const KernelOps& GetKernelOps();
 
-/// True when GetKernelOps() currently returns a SIMD tier.
-bool SimdKernelsEnabled();
-
 /// Blocking geometry for the active tier: its fixed MR x NR register tile
 /// plus KC/MC/NC autotuned from cache geometry (resolved once per process;
 /// deterministic — depends only on the machine and the tier).
@@ -117,10 +114,6 @@ const KernelOps* GetAvx512KernelOpsOrNull();
 /// to restore env/probe resolution.
 bool ForceKernelTierForTesting(KernelTier tier);
 void ClearKernelTierForTesting();
-
-/// Legacy test hook: true pins GetKernelOps() to the scalar tier, false
-/// restores automatic resolution.
-void ForceScalarKernelsForTesting(bool force);
 
 /// Cache sizes feeding the block autotuner, resolved once per process from
 /// sysconf with the fixed fallback table (l1d = 32 KB, l2 = 1 MB) when the

@@ -32,7 +32,6 @@ struct KernelCounters {
 KernelCounters& GlobalKernelCounters() {
   static KernelCounters counters = [] {
     MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.gauge("gm.kernel.simd")->Set(SimdKernelsEnabled() ? 1.0 : 0.0);
     registry.gauge("gm.kernel.tier")
         ->Set(static_cast<double>(GetKernelOps().tier));
     return KernelCounters{registry.counter("gm.kernel.gemm_calls"),

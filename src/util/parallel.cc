@@ -188,36 +188,20 @@ int ComputeNumShards(std::int64_t n, std::int64_t grain, int num_threads) {
   return static_cast<int>(std::min(by_grain, threads));
 }
 
-void RunShards(int num_shards, std::int64_t begin, std::int64_t end,
-               FunctionRef<void(int, std::int64_t, std::int64_t)> fn) {
-  std::int64_t n = end - begin;
-  if (n <= 0 || num_shards <= 0) return;
-  if (num_shards == 1) {
-    fn(0, begin, end);
-    return;
-  }
-  GlobalThreadPool()->Run(num_shards, [&](int s) {
-    auto [b, e] = ShardRange(s, num_shards, begin, end);
-    fn(s, b, e);
-  });
-}
-
-void ParallelForShards(std::int64_t begin, std::int64_t end,
-                       std::int64_t grain,
-                       FunctionRef<void(int, std::int64_t, std::int64_t)> fn,
-                       int num_threads) {
-  int shards =
-      ComputeNumShards(end - begin, grain, ResolveNumThreads(num_threads));
-  RunShards(shards, begin, end, fn);
-}
-
 void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
                  FunctionRef<void(std::int64_t, std::int64_t)> fn,
                  int num_threads) {
-  ParallelForShards(
-      begin, end, grain,
-      [&fn](int /*shard*/, std::int64_t b, std::int64_t e) { fn(b, e); },
-      num_threads);
+  int shards =
+      ComputeNumShards(end - begin, grain, ResolveNumThreads(num_threads));
+  if (shards <= 0) return;
+  if (shards == 1) {
+    fn(begin, end);
+    return;
+  }
+  GlobalThreadPool()->Run(shards, [&](int s) {
+    auto [b, e] = ShardRange(s, shards, begin, end);
+    fn(b, e);
+  });
 }
 
 void ParallelRunDynamic(std::int64_t num_items,
@@ -238,45 +222,65 @@ void ParallelRunDynamic(std::int64_t num_items,
   });
 }
 
-double ParallelChunkedSum(std::int64_t begin, std::int64_t end,
-                          std::int64_t grain,
-                          FunctionRef<double(std::int64_t, std::int64_t)> fn,
-                          int num_threads) {
+void ParallelChunkedSum(
+    std::int64_t begin, std::int64_t end, int width,
+    FunctionRef<void(std::int64_t, std::int64_t, double*)> fn, double* sums,
+    int num_threads) {
+  GMREG_CHECK(width >= 1 && width <= kMaxChunkedSumWidth) << width;
+  std::fill(sums, sums + width, 0.0);
   std::int64_t n = end - begin;
-  if (n <= 0) return 0.0;
-  if (grain < 1) grain = 1;
-  std::int64_t chunks = (n + grain - 1) / grain;
-  if (chunks == 1) return fn(begin, end);
-  // Persistent per-thread partials: the adaptive priors call this every
-  // AccumulateGradient, so the steady state must not allocate. The in-use
-  // flag covers the (rare, currently unused) nested-call case by paying a
-  // one-off local vector instead of corrupting the outer call's buffer.
-  thread_local std::vector<double> tls_partial;
-  thread_local bool tls_partial_in_use = false;
-  std::vector<double> local_partial;
-  std::vector<double>* partial = &tls_partial;
-  if (tls_partial_in_use) {
-    partial = &local_partial;
-  } else {
-    tls_partial_in_use = true;
+  if (n <= 0) return;
+  std::int64_t chunks = (n + kChunkGrain - 1) / kChunkGrain;
+  auto chunk_partial = [&](std::int64_t c, double* partial) {
+    std::fill(partial, partial + width, 0.0);
+    std::int64_t b = begin + c * kChunkGrain;
+    fn(b, std::min(b + kChunkGrain, end), partial);
+  };
+  auto fold = [&](const double* partial) {
+    for (int j = 0; j < width; ++j) sums[j] += partial[j];
+  };
+  int budget = ResolveNumThreads(num_threads);
+  if (chunks == 1 || budget == 1 || InParallelRegion()) {
+    // Serial: each partial is folded as soon as it is made — the same
+    // additions in the same order as the fan-out below.
+    double partial[kMaxChunkedSumWidth] = {};
+    for (std::int64_t c = 0; c < chunks; ++c) {
+      chunk_partial(c, partial);
+      fold(partial);
+    }
+    return;
   }
-  partial->assign(static_cast<std::size_t>(chunks), 0.0);
-  // The chunk layout is fixed by `grain`; only the assignment of chunks to
-  // workers varies with the budget, and each partial is written exactly once.
+  // Fan-out: one slot per chunk in the calling thread's grow-only buffer.
+  // The workers write through the hoisted pointer (a thread_local named in
+  // the task would resolve to each worker's own buffer). Code running
+  // inside the tasks is in a parallel region and takes the serial path
+  // above, so the buffer is never re-entered while its slots are live.
+  thread_local std::vector<double> tls_partials;
+  auto need = static_cast<std::size_t>(chunks * width);
+  if (tls_partials.size() < need) tls_partials.resize(need);
+  double* partials = tls_partials.data();
   ParallelFor(
       0, chunks, /*grain=*/1,
       [&](std::int64_t cb, std::int64_t ce) {
         for (std::int64_t c = cb; c < ce; ++c) {
-          std::int64_t b = begin + c * grain;
-          std::int64_t e = std::min<std::int64_t>(b + grain, end);
-          (*partial)[static_cast<std::size_t>(c)] = fn(b, e);
+          chunk_partial(c, partials + c * width);
         }
       },
-      num_threads);
-  double acc = 0.0;
-  for (double p : *partial) acc += p;
-  if (partial == &tls_partial) tls_partial_in_use = false;
-  return acc;
+      budget);
+  for (std::int64_t c = 0; c < chunks; ++c) fold(partials + c * width);
+}
+
+double ParallelChunkedSum(std::int64_t begin, std::int64_t end,
+                          FunctionRef<double(std::int64_t, std::int64_t)> fn,
+                          int num_threads) {
+  double sum = 0.0;
+  ParallelChunkedSum(
+      begin, end, /*width=*/1,
+      [&fn](std::int64_t b, std::int64_t e, double* partial) {
+        *partial = fn(b, e);
+      },
+      &sum, num_threads);
+  return sum;
 }
 
 }  // namespace gmreg

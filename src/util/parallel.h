@@ -39,7 +39,7 @@ class ThreadPool {
   /// Runs fn(t) for every t in [0, num_tasks) across the workers and the
   /// calling thread; returns once all tasks have finished. Which thread
   /// executes which task is unspecified — determinism must come from the
-  /// tasks writing disjoint outputs (see ParallelForShards).
+  /// tasks writing disjoint outputs (see ParallelFor).
   ///
   /// Takes a FunctionRef (not std::function) so dispatching a parallel job
   /// never allocates; the caller's Arena planning scope, if any, is
@@ -67,9 +67,9 @@ class ThreadPool {
 
 /// The process-wide pool, created lazily on the first parallel call and
 /// intentionally leaked (workers must survive static destruction). Sized
-/// from the hardware; the *shard* count of each call — what determines
-/// results — is controlled separately via GMREG_NUM_THREADS / num_threads
-/// arguments, so a small pool can still execute a 4-way-sharded call.
+/// from the hardware; the shard count of each call is controlled
+/// separately via GMREG_NUM_THREADS / num_threads arguments, so a small
+/// pool can still execute a 4-way-sharded call.
 ThreadPool* GlobalThreadPool();
 
 /// True while the current thread is executing a pool task (or a serialized
@@ -94,15 +94,13 @@ int ResolveNumThreads(int requested);
 
 /// Number of shards a range of `n` items splits into: at most `num_threads`
 /// and at most ceil(n / grain), so tiny ranges stay serial. Deterministic in
-/// (n, grain, num_threads) — the foundation of the determinism guarantee
-/// (docs/PARALLELISM.md).
+/// (n, grain, num_threads).
 int ComputeNumShards(std::int64_t n, std::int64_t grain, int num_threads);
 
 /// The half-open range shard `s` of `num_shards` covers in [begin, end):
 /// the first (end - begin) % num_shards shards get one extra item. This is
-/// the boundary formula RunShards uses — call sites that execute shards
-/// serially (e.g. a nested region fallback) use it to reproduce the exact
-/// same split, keeping results bitwise-identical to the parallel path.
+/// ParallelFor's split; dist and conv use it to cut a range into a fixed
+/// number of slices.
 inline std::pair<std::int64_t, std::int64_t> ShardRange(int s, int num_shards,
                                                         std::int64_t begin,
                                                         std::int64_t end) {
@@ -113,29 +111,18 @@ inline std::pair<std::int64_t, std::int64_t> ShardRange(int s, int num_shards,
   return {b, b + chunk + (s < rem ? 1 : 0)};
 }
 
-/// Runs fn(shard, shard_begin, shard_end) for `num_shards` contiguous,
-/// near-equal shards of [begin, end). Shard boundaries are ShardRange —
-/// they depend only on (begin, end, num_shards). Blocks until all shards
-/// are done.
-void RunShards(int num_shards, std::int64_t begin, std::int64_t end,
-               FunctionRef<void(int, std::int64_t, std::int64_t)> fn);
-
-/// Shards [begin, end) by ComputeNumShards(end - begin, grain,
-/// ResolveNumThreads(num_threads)) and runs fn(shard, b, e) on each.
-void ParallelForShards(std::int64_t begin, std::int64_t end,
-                       std::int64_t grain,
-                       FunctionRef<void(int, std::int64_t, std::int64_t)> fn,
-                       int num_threads = 0);
-
-/// Like ParallelForShards without the shard index: fn(b, e) must only touch
-/// state derived from [b, e) (disjoint output slices) to stay deterministic.
+/// Runs fn(b, e) on ComputeNumShards(end - begin, grain,
+/// ResolveNumThreads(num_threads)) contiguous ShardRange shards of
+/// [begin, end) and blocks until all are done. The shards follow the
+/// budget, so fn must only touch state derived from [b, e) (disjoint
+/// output slices) to stay deterministic; reductions use ParallelChunkedSum.
 void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
                  FunctionRef<void(std::int64_t, std::int64_t)> fn,
                  int num_threads = 0);
 
 /// Dynamic work queue: runs fn(item) for every item in [0, num_items), with
 /// at most ResolveNumThreads(num_threads) executors claiming items off a
-/// shared atomic ticket. Unlike RunShards the item -> thread assignment is
+/// shared atomic ticket. Unlike ParallelFor the item -> thread assignment is
 /// load-balancing (first free executor takes the next item), so fn must
 /// write disjoint outputs whose *values* do not depend on which thread runs
 /// them — that is what keeps the packed-GEMM 2D tile queue bitwise
@@ -145,40 +132,34 @@ void ParallelRunDynamic(std::int64_t num_items,
                         FunctionRef<void(std::int64_t)> fn,
                         int num_threads = 0);
 
-/// Deterministic chunked sum: [begin, end) is cut into fixed `grain`-sized
-/// chunks (the last one short), `fn(b, e)` produces each chunk's partial sum
-/// in parallel, and the partials are folded serially in chunk order. Because
-/// the chunk boundaries depend only on (begin, end, grain) — never on the
-/// thread budget — the result is bitwise identical at EVERY budget, a
-/// stronger contract than ParallelReduce (whose shard count follows the
-/// budget). The adaptive priors in src/reg/ build their hyper-parameter
-/// updates on this so a checkpoint resumed under a different
-/// GMREG_NUM_THREADS stays bit-exact (docs/REGULARIZERS.md).
+/// Elements per chunk of every reduction over a weight vector (the GM
+/// E-step and Penalty, the EP-GIG and dynprior updates), and the grain of
+/// the elementwise passes beside them. At the measured ~30 M weights/s a
+/// chunk is >= ~100 us of work, far above the pool's dispatch cost.
+inline constexpr std::int64_t kChunkGrain = 4096;
+
+/// Widest per-chunk vector ParallelChunkedSum folds: two sums per mixture
+/// component at the E-step's K <= 64.
+inline constexpr int kMaxChunkedSumWidth = 128;
+
+/// The reduction contract (docs/PARALLELISM.md): [begin, end) is cut into
+/// fixed kChunkGrain-sized chunks (the last one short), fn(b, e, partial)
+/// adds chunk [b, e)'s `width` sums into `partial` (zeroed beforehand), and
+/// sums[j] = 0 + partial_0[j] + partial_1[j] + ... in chunk order. The
+/// chunks depend only on (begin, end) and only their assignment to threads
+/// follows the budget, so `sums` is bitwise identical at EVERY budget: a
+/// run resumed under a different GMREG_NUM_THREADS stays bit-exact. The
+/// partials live in the calling thread's grow-only buffer, so the steady
+/// state does not allocate. 1 <= width <= kMaxChunkedSumWidth.
+void ParallelChunkedSum(
+    std::int64_t begin, std::int64_t end, int width,
+    FunctionRef<void(std::int64_t, std::int64_t, double*)> fn, double* sums,
+    int num_threads = 0);
+
+/// Width-1 form: fn(b, e) returns chunk [b, e)'s partial sum.
 double ParallelChunkedSum(std::int64_t begin, std::int64_t end,
-                          std::int64_t grain,
                           FunctionRef<double(std::int64_t, std::int64_t)> fn,
                           int num_threads = 0);
-
-/// Parallel map-reduce: partial = map(b, e) per shard, then the partials are
-/// folded left-to-right in shard order — acc = reduce(acc, partial) — so the
-/// result is bitwise-reproducible for a given thread budget.
-template <typename T, typename MapFn, typename ReduceFn>
-T ParallelReduce(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                 T identity, const MapFn& map, const ReduceFn& reduce,
-                 int num_threads = 0) {
-  std::int64_t n = end - begin;
-  if (n <= 0) return identity;
-  int shards = ComputeNumShards(n, grain, ResolveNumThreads(num_threads));
-  if (shards <= 1) return reduce(std::move(identity), map(begin, end));
-  std::vector<T> partial(static_cast<std::size_t>(shards), identity);
-  RunShards(shards, begin, end,
-            [&](int s, std::int64_t b, std::int64_t e) {
-              partial[static_cast<std::size_t>(s)] = map(b, e);
-            });
-  T acc = std::move(identity);
-  for (T& p : partial) acc = reduce(std::move(acc), std::move(p));
-  return acc;
-}
 
 }  // namespace gmreg
 

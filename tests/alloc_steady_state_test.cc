@@ -34,6 +34,7 @@
 #include "testutil/alloc_count.h"
 #include "testutil/gmreg_testutil.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace gmreg {
@@ -400,6 +401,41 @@ TEST(AllocSteadyStateTest, QuantizedServePredictReachesZeroAllocs) {
   std::int64_t delta = HeapAllocCount() - before;
   if (ZeroAllocAssertsEnabled()) {
     EXPECT_EQ(delta, 0) << "quantized steady-state predict allocated";
+  }
+}
+
+// The reduction every prior runs on: once the calling thread's partials
+// buffer has grown to the widest fold, repeated folds at width 1 and 2K
+// take no heap memory at any budget.
+TEST(AllocSteadyStateTest, ChunkedSumReachesZeroAllocsAtEveryBudget) {
+  constexpr std::int64_t kN = 5 * kChunkGrain + 17;
+  std::vector<float> w(static_cast<std::size_t>(kN));
+  for (std::int64_t i = 0; i < kN; ++i) {
+    w[static_cast<std::size_t>(i)] = static_cast<float>(i % 97) * 0.01f;
+  }
+  double sums[8];
+  auto folds = [&](int budget) {
+    for (int width : {1, 8}) {
+      ParallelChunkedSum(
+          0, kN, width,
+          [&](std::int64_t b, std::int64_t e, double* partial) {
+            for (std::int64_t i = b; i < e; ++i) {
+              for (int j = 0; j < width; ++j) {
+                partial[j] += w[static_cast<std::size_t>(i)];
+              }
+            }
+          },
+          sums, budget);
+    }
+  };
+  for (int budget : {1, 2, 4, 8}) {
+    folds(budget);  // grows the buffer
+    std::int64_t before = HeapAllocCount();
+    for (int rep = 0; rep < 4; ++rep) folds(budget);
+    std::int64_t delta = HeapAllocCount() - before;
+    if (ZeroAllocAssertsEnabled()) {
+      EXPECT_EQ(delta, 0) << "budget " << budget;
+    }
   }
 }
 

@@ -410,6 +410,49 @@ TEST(RegularizerStateTest, GmRegularizerRoundTripContinuesExactly) {
   }
 }
 
+// gmreg-state v2 also carried the E/M wall-clock seconds after the three
+// counters. v3 drops them; the loader still reads v2 and skips the two.
+TEST(RegularizerStateTest, GmV2StateLoadsLikeItsV3Form) {
+  const std::int64_t kDims = 24;
+  Rng rng(43);
+  Tensor w({4, 6});
+  for (std::int64_t i = 0; i < w.size(); ++i) {
+    w.data()[i] = static_cast<float>(rng.NextGaussian(0.0, 0.3));
+  }
+  GmRegularizer reg("w", kDims, SmallGmOptions());
+  Tensor grad({4, 6});
+  for (std::int64_t it = 0; it < 7; ++it) {
+    grad.Fill(0.0f);
+    reg.AccumulateGradient(w, it, it / 5, 0.01, &grad);
+  }
+  std::string v3;
+  ASSERT_TRUE(reg.SaveState(&v3));
+  ASSERT_EQ(v3.rfind("gmreg-state v3 ", 0), 0u) << v3;
+  std::size_t greg_at = v3.find(" greg ");
+  ASSERT_NE(greg_at, std::string::npos);
+  std::string v2 = v3;
+  v2.insert(greg_at, " 0.125 0.25");
+  v2.replace(0, 15, "gmreg-state v2 ");
+
+  GmRegularizer from_v2("w", kDims, SmallGmOptions());
+  GmRegularizer from_v3("w", kDims, SmallGmOptions());
+  ASSERT_TRUE(from_v2.LoadState(v2).ok()) << v2;
+  ASSERT_TRUE(from_v3.LoadState(v3).ok());
+  std::string resaved_v2, resaved_v3;
+  ASSERT_TRUE(from_v2.SaveState(&resaved_v2));
+  ASSERT_TRUE(from_v3.SaveState(&resaved_v3));
+  EXPECT_EQ(resaved_v2, v3);
+  EXPECT_EQ(resaved_v3, v3);
+  EXPECT_EQ(from_v2.estep_seconds(), 0.0);
+  EXPECT_EQ(from_v2.mstep_seconds(), 0.0);
+
+  // A v2 label on a record without the seconds is malformed.
+  std::string mislabeled = v3;
+  mislabeled.replace(0, 15, "gmreg-state v2 ");
+  EXPECT_EQ(from_v2.LoadState(mislabeled).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(RegularizerStateTest, GmLoadStateRejectsBadPayloads) {
   GmRegularizer reg("w", 24, SmallGmOptions());
   EXPECT_EQ(reg.LoadState("not a state line").code(),
@@ -438,7 +481,14 @@ struct RunConfig {
   int threads = 1;
   int epochs = 6;
   bool resume = false;
+  /// fc1's output width. The GM prior regularizes fc1's 8 x hidden weights:
+  /// 48 (one reduction chunk) by default.
+  int hidden = 6;
 };
+
+// fc1 then holds 8320 weights: two full kChunkGrain chunks and a short
+// tail, so budgets above 1 really split the GM reductions.
+constexpr int kWideHidden = 1040;
 
 // One complete training setup, reconstructed identically for every run:
 // same init seed, same data-stream seed, same GM config. `resume` overlays
@@ -446,8 +496,10 @@ struct RunConfig {
 std::vector<EpochStats> RunTraining(const RunConfig& cfg) {
   Rng init_rng(1234);
   Sequential net("net");
-  net.Emplace<Dense>("fc1", 8, 6, InitSpec::Gaussian(0.2), &init_rng);
-  net.Emplace<Dense>("fc2", 6, 3, InitSpec::Gaussian(0.2), &init_rng);
+  net.Emplace<Dense>("fc1", 8, cfg.hidden, InitSpec::Gaussian(0.2),
+                     &init_rng);
+  net.Emplace<Dense>("fc2", cfg.hidden, 3, InitSpec::Gaussian(0.2),
+                     &init_rng);
 
   TrainOptions opts;
   opts.epochs = cfg.epochs;
@@ -464,7 +516,7 @@ std::vector<EpochStats> RunTraining(const RunConfig& cfg) {
 
   GmOptions gm = SmallGmOptions();
   gm.num_threads = cfg.threads;
-  GmRegularizer reg("fc1/weight", 8 * 6, gm);
+  GmRegularizer reg("fc1/weight", 8 * cfg.hidden, gm);
   trainer.AttachRegularizer("fc1/weight", &reg);
 
   Rng data_rng(777);
@@ -586,10 +638,13 @@ void ExpectSameDeterministicFields(const std::string& interrupted_line,
 }
 
 // The tentpole property: kill -9 (via the fault injector's std::_Exit)
-// after epoch 2 of 6, resume from the checkpoint, and the concatenated
-// trace is bit-identical to an uninterrupted run — loss, penalty, lr,
-// learned lambda/pi, lazy-update counters, everything but wall-clock.
-void CrashThenResumeCase(int threads, const std::string& tag) {
+// after epoch 2 of 6 at `crash_threads`, resume from the checkpoint at
+// `resume_threads`, and the concatenated trace is bit-identical to an
+// uninterrupted run at `reference_threads` — loss, penalty, lr, learned
+// lambda/pi, lazy-update counters, everything but wall-clock.
+void CrashThenResumeCase(int crash_threads, int resume_threads,
+                         int reference_threads, int hidden,
+                         const std::string& tag) {
   std::string ckpt = TempPath("crash_" + tag + ".ckpt");
   std::string ckpt_ref = TempPath("crash_ref_" + tag + ".ckpt");
   std::string trace = TempPath("crash_" + tag + ".jsonl");
@@ -606,7 +661,8 @@ void CrashThenResumeCase(int threads, const std::string& tag) {
   RunConfig crashed;
   crashed.checkpoint_path = ckpt;
   crashed.trace_path = trace;
-  crashed.threads = threads;
+  crashed.threads = crash_threads;
+  crashed.hidden = hidden;
   EXPECT_EXIT(
       {
         if (!FaultInjector::Global().Configure("crash_after_epoch:2").ok()) {
@@ -622,6 +678,7 @@ void CrashThenResumeCase(int threads, const std::string& tag) {
   ASSERT_EQ(ReadLines(trace).size(), 3u);
 
   RunConfig resumed = crashed;
+  resumed.threads = resume_threads;
   resumed.resume = true;
   std::vector<EpochStats> tail = RunTraining(resumed);
   ASSERT_EQ(tail.size(), 3u);
@@ -630,7 +687,8 @@ void CrashThenResumeCase(int threads, const std::string& tag) {
   RunConfig reference;
   reference.checkpoint_path = ckpt_ref;
   reference.trace_path = trace_ref;
-  reference.threads = threads;
+  reference.threads = reference_threads;
+  reference.hidden = hidden;
   std::vector<EpochStats> full = RunTraining(reference);
   ASSERT_EQ(full.size(), 6u);
 
@@ -896,13 +954,26 @@ TEST(RegFamilyCheckpointTest, StateLinesRejectCrossKindLoads) {
 }
 
 TEST(TrainerCrashResumeTest, BitExactTraceSingleThread) {
-  CrashThenResumeCase(1, "t1");
+  CrashThenResumeCase(1, 1, 1, 6, "t1");
 }
 
 TEST(TrainerCrashResumeTest, BitExactTraceFourThreads) {
-  CrashThenResumeCase(4, "t4");
+  CrashThenResumeCase(4, 4, 4, 6, "t4");
   // Restore the serial default so later tests in this binary are unaffected
   // by the process-wide thread budget the 4-thread trainers installed.
+  SetDefaultNumThreads(1);
+}
+
+// A checkpoint carries no thread budget: resuming under another one must
+// continue the uninterrupted budget-1 run bit for bit, over a GM tensor
+// whose reductions span several chunks.
+TEST(TrainerCrashResumeTest, CrashAtBudgetOneResumeAtBudgetFour) {
+  CrashThenResumeCase(1, 4, 1, kWideHidden, "b1to4");
+  SetDefaultNumThreads(1);
+}
+
+TEST(TrainerCrashResumeTest, CrashAtBudgetFourResumeAtBudgetOne) {
+  CrashThenResumeCase(4, 1, 1, kWideHidden, "b4to1");
   SetDefaultNumThreads(1);
 }
 

@@ -17,6 +17,7 @@
 #include "dist/launcher.h"
 #include "testutil/gmreg_testutil.h"
 #include "util/json_writer.h"
+#include "util/metrics.h"
 
 namespace gmreg {
 namespace {
@@ -98,6 +99,23 @@ TEST(DistTrainTest, FourWorkersMatchLocalShardedReference) {
   ASSERT_TRUE(RunLocalShardedJob(spec, 4, &local4).ok());
   ASSERT_TRUE(RunDistJob(spec, 4, WorkerLaunch::kThread, &dist4).ok());
   ExpectResultsBitwiseEqual(dist4, local4, "dist(4) vs local(4)");
+}
+
+// Every step of MakeSpec's job is inside the GM warm-up (2 epochs), so
+// each step is one gradient round plus, per GM tensor, ONE E-step round
+// that returns the greg and the suffstats together: S * (1 + T) rounds.
+TEST(DistTrainTest, EagerStepSendsOneEStepRoundPerTensor) {
+  DistJobSpec spec = MakeSpec();
+  std::int64_t steps =
+      spec.epochs * BatchesPerEpoch(spec, BuildJobDataset(spec));
+  ASSERT_EQ(steps, 32);
+  Counter* rounds = MetricsRegistry::Global().counter("gm.dist.rounds");
+  std::int64_t before = rounds->value();
+  DistRunResult dist2;
+  ASSERT_TRUE(RunDistJob(spec, 2, WorkerLaunch::kThread, &dist2).ok());
+  auto tensors = static_cast<std::int64_t>(dist2.pi.size());
+  ASSERT_EQ(tensors, 2);
+  EXPECT_EQ(rounds->value() - before, steps * (1 + tensors));
 }
 
 TEST(DistTrainTest, UnregularizedJobStillMatches) {

@@ -356,14 +356,14 @@ TEST(GemmDeterminismTest, SimdMatchesScalarWithinFmaTolerance) {
   std::vector<float> c0 = RandomVec(&rng, m * n);
 
   ASSERT_TRUE(internal::ForceKernelTierForTesting(KernelTier::kScalar));
-  EXPECT_FALSE(SimdKernelsEnabled());
+  EXPECT_EQ(GetKernelOps().tier, KernelTier::kScalar);
   std::vector<float> scalar = c0;
   Gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f,
        scalar.data(), n);
 
   for (KernelTier tier : {KernelTier::kAvx2, KernelTier::kAvx512}) {
     if (!internal::ForceKernelTierForTesting(tier)) continue;
-    EXPECT_TRUE(SimdKernelsEnabled());
+    EXPECT_EQ(GetKernelOps().tier, tier);
     std::vector<float> simd = c0;
     Gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f,
          simd.data(), n);

@@ -1,23 +1,30 @@
 // Determinism and coverage tests of the parallel execution layer
-// (util/parallel.h) and the sharded E-step/M-step built on it. The
-// contract under test (docs/PARALLELISM.md):
-//  * greg written by a parallel E-step is bitwise identical to serial;
-//  * shard statistics merge in fixed shard order, so a given thread budget
-//    is bitwise reproducible run-to-run and matches serial within 1e-12;
-//  * ranges smaller than the grain (and empty ranges) stay serial and
-//    behave identically.
+// (util/parallel.h) and the E-step/M-step built on it. The contract under
+// test (docs/PARALLELISM.md):
+//  * ParallelFor shards follow the budget, so its callers write disjoint
+//    outputs: greg written by a parallel E-step is bitwise identical to
+//    serial;
+//  * every reduction is a ParallelChunkedSum over fixed kChunkGrain chunks
+//    added in chunk order, so suffstats, mixtures and penalties are bitwise
+//    identical at every thread budget;
+//  * ranges smaller than a chunk (and empty ranges) behave identically.
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/em.h"
 #include "core/gm_regularizer.h"
 #include "gtest/gtest.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 #include "testutil/gmreg_testutil.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -38,7 +45,7 @@ Tensor MakeWeightTensor(std::int64_t n, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelFor / ParallelReduce / ComputeNumShards
+// ParallelFor / ParallelChunkedSum / ComputeNumShards
 
 TEST(ComputeNumShardsTest, RespectsGrainAndThreadBudget) {
   EXPECT_EQ(ComputeNumShards(0, 64, 4), 0);
@@ -91,53 +98,56 @@ TEST(ParallelForTest, SerialBudgetRunsOnCallingThread) {
 
 TEST(ParallelForTest, ShardBoundariesAreDeterministic) {
   auto collect = [](int threads) {
-    std::vector<std::pair<std::int64_t, std::int64_t>> ranges(16);
-    std::atomic<int> used{0};
-    ParallelForShards(
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+    std::mutex mu;
+    ParallelFor(
         0, 1000, /*grain=*/10,
-        [&](int s, std::int64_t b, std::int64_t e) {
-          ranges[static_cast<std::size_t>(s)] = {b, e};
-          used.fetch_add(1);
+        [&](std::int64_t b, std::int64_t e) {
+          std::lock_guard<std::mutex> lock(mu);
+          ranges.emplace_back(b, e);
         },
         threads);
-    ranges.resize(static_cast<std::size_t>(used.load()));
+    std::sort(ranges.begin(), ranges.end());
     return ranges;
   };
   auto a = collect(4);
   auto b = collect(4);
   ASSERT_EQ(a.size(), 4u);
   EXPECT_EQ(a, b);
-  // Contiguous cover of [0, 1000) in shard order.
+  // Contiguous cover of [0, 1000), split as ShardRange splits it.
   std::int64_t expect_begin = 0;
-  for (const auto& [rb, re] : a) {
-    EXPECT_EQ(rb, expect_begin);
-    expect_begin = re;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    EXPECT_EQ(a[s], ShardRange(static_cast<int>(s), 4, 0, 1000));
+    EXPECT_EQ(a[s].first, expect_begin);
+    expect_begin = a[s].second;
   }
   EXPECT_EQ(expect_begin, 1000);
 }
 
+// The chunked fold on an integer sum and a transcendental one (the suite
+// keeps the name of the shard-order reduction the fold replaced).
 TEST(ParallelReduceTest, MatchesSerialSumExactlyOnIntegers) {
   constexpr std::int64_t kN = 100000;
-  auto map = [](std::int64_t b, std::int64_t e) {
-    std::int64_t acc = 0;
-    for (std::int64_t i = b; i < e; ++i) acc += i;
-    return acc;
+  auto sum_at = [](int budget) {
+    return ParallelChunkedSum(
+        0, kN,
+        [](std::int64_t b, std::int64_t e) {
+          double acc = 0.0;
+          for (std::int64_t i = b; i < e; ++i) acc += static_cast<double>(i);
+          return acc;
+        },
+        budget);
   };
-  auto reduce = [](std::int64_t a, std::int64_t b) { return a + b; };
-  std::int64_t serial = ParallelReduce(std::int64_t{0}, kN, std::int64_t{1000},
-                                       std::int64_t{0}, map, reduce, 1);
-  std::int64_t parallel = ParallelReduce(std::int64_t{0}, kN, std::int64_t{1000},
-                                         std::int64_t{0}, map, reduce, 4);
-  EXPECT_EQ(serial, kN * (kN - 1) / 2);
-  EXPECT_EQ(parallel, serial);
+  // Every partial and total is an integer below 2^53, so exact.
+  EXPECT_EQ(sum_at(1), static_cast<double>(kN * (kN - 1) / 2));
+  EXPECT_EQ(sum_at(4), sum_at(1));
 }
 
 TEST(ParallelReduceTest, ShardOrderReductionIsBitwiseReproducible) {
   std::vector<float> w = MakeWeights(1 << 16, 5);
-  auto run = [&] {
-    return ParallelReduce(
-        std::int64_t{0}, static_cast<std::int64_t>(w.size()),
-        std::int64_t{1024}, 0.0,
+  auto run = [&](int budget) {
+    return ParallelChunkedSum(
+        0, static_cast<std::int64_t>(w.size()),
         [&](std::int64_t b, std::int64_t e) {
           double acc = 0.0;
           for (std::int64_t i = b; i < e; ++i) {
@@ -146,13 +156,121 @@ TEST(ParallelReduceTest, ShardOrderReductionIsBitwiseReproducible) {
           }
           return acc;
         },
-        [](double a, double b) { return a + b; }, 4);
+        budget);
   };
-  double first = run();
+  double first = run(1);
   for (int rep = 0; rep < 5; ++rep) {
-    EXPECT_EQ(run(), first) << "repetition " << rep;
+    EXPECT_EQ(run(4), first) << "repetition " << rep;
   }
 }
+
+// The fold against a serial reference that adds per-chunk partials in
+// chunk order: width 1 and width 2K (the E-step's), at every budget, over
+// an empty range, one short chunk, exactly one chunk, and a short tail.
+class ParallelChunkedSumTest : public ::testing::TestWithParam<int> {};
+
+// Sum j of a chunk: x for even j, x^2 * (j + 1) for odd j.
+void AddChunk(const std::vector<float>& w, int width, std::int64_t b,
+              std::int64_t e, double* partial) {
+  for (std::int64_t i = b; i < e; ++i) {
+    double x = static_cast<double>(w[static_cast<std::size_t>(i)]);
+    for (int j = 0; j < width; ++j) {
+      partial[j] += j % 2 == 0 ? x : x * x * (j + 1);
+    }
+  }
+}
+
+std::vector<double> ReferenceFold(const std::vector<float>& w, int width,
+                                  std::int64_t begin, std::int64_t end) {
+  std::vector<double> sums(static_cast<std::size_t>(width), 0.0);
+  for (std::int64_t b = begin; b < end; b += kChunkGrain) {
+    std::vector<double> partial(static_cast<std::size_t>(width), 0.0);
+    AddChunk(w, width, b, std::min(b + kChunkGrain, end), partial.data());
+    for (int j = 0; j < width; ++j) {
+      sums[static_cast<std::size_t>(j)] += partial[static_cast<std::size_t>(j)];
+    }
+  }
+  return sums;
+}
+
+TEST_P(ParallelChunkedSumTest, MatchesChunkOrderFoldAtEveryBudget) {
+  const int width = GetParam();
+  std::vector<float> w = MakeWeights(3 * kChunkGrain, 41);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
+      {5, 5},                            // empty
+      {0, 1000},                         // one short chunk
+      {100, 100 + kChunkGrain},          // exactly one chunk
+      {3, 3 + 2 * kChunkGrain + 17}};    // two chunks and a short tail
+  for (const auto& [begin, end] : ranges) {
+    std::vector<double> want = ReferenceFold(w, width, begin, end);
+    for (int budget : {1, 2, 4, 8}) {
+      std::vector<double> got(static_cast<std::size_t>(width), -1.0);
+      ParallelChunkedSum(
+          begin, end, width,
+          [&](std::int64_t b, std::int64_t e, double* partial) {
+            AddChunk(w, width, b, e, partial);
+          },
+          got.data(), budget);
+      // Exact: the same additions in the same order.
+      EXPECT_EQ(got, want) << "[" << begin << ", " << end << ") width "
+                           << width << " budget " << budget;
+    }
+  }
+}
+
+TEST_P(ParallelChunkedSumTest, CallsInsideParallelTasksMatchTopLevel) {
+  const int width = GetParam();
+  constexpr int kTasks = 8;
+  const std::int64_t n = 2 * kChunkGrain + 17;
+  std::vector<float> w = MakeWeights(kTasks * n, 43);
+  auto fold = [&](std::int64_t begin, int budget, double* sums) {
+    ParallelChunkedSum(
+        begin, begin + n, width,
+        [&](std::int64_t b, std::int64_t e, double* partial) {
+          AddChunk(w, width, b, e, partial);
+        },
+        sums, budget);
+  };
+  std::vector<std::vector<double>> want(kTasks);
+  for (int t = 0; t < kTasks; ++t) {
+    want[static_cast<std::size_t>(t)] =
+        ReferenceFold(w, width, t * n, (t + 1) * n);
+  }
+  for (int budget : {1, 2, 4, 8}) {
+    // Inside ParallelFor tasks: each task folds its own range.
+    std::vector<std::vector<double>> got(
+        kTasks, std::vector<double>(static_cast<std::size_t>(width)));
+    ParallelFor(
+        0, kTasks, /*grain=*/1,
+        [&](std::int64_t tb, std::int64_t te) {
+          for (std::int64_t t = tb; t < te; ++t) {
+            fold(t * n, budget, got[static_cast<std::size_t>(t)].data());
+          }
+        },
+        budget);
+    EXPECT_EQ(got, want) << "inside ParallelFor, budget " << budget;
+    // Inside another fold's chunks: the outer fold's partials stay intact
+    // while its chunk functions fold on the same threads.
+    std::vector<std::vector<double>> inner(
+        kTasks, std::vector<double>(static_cast<std::size_t>(width)));
+    double outer = ParallelChunkedSum(
+        0, kTasks * kChunkGrain,
+        [&](std::int64_t b, std::int64_t e) {
+          std::int64_t t = b / kChunkGrain;
+          fold(t * n, budget, inner[static_cast<std::size_t>(t)].data());
+          return static_cast<double>(e - b);
+        },
+        budget);
+    EXPECT_EQ(outer, static_cast<double>(kTasks * kChunkGrain));
+    EXPECT_EQ(inner, want) << "inside ParallelChunkedSum, budget " << budget;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ParallelChunkedSumTest,
+                         ::testing::Values(1, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "width" + std::to_string(info.param);
+                         });
 
 TEST(ParallelNestingTest, NestedParallelCallsFallBackToSerial) {
   std::vector<int> hits(4096, 0);
@@ -231,32 +349,25 @@ TEST_P(EStepDeterminismTest, SuffStatsMatchSerialWithinTolerance) {
   std::vector<float> w = MakeWeights(n, 9);
   GaussianMixture gm =
       GaussianMixture::Initialize(4, GmInitMethod::kLinear, 10.0);
-  GmSuffStats serial, parallel, parallel_again;
+  GmSuffStats serial;
   serial.Reset(4);
-  parallel.Reset(4);
-  parallel_again.Reset(4);
   EStep(gm, w.data(), n, nullptr, &serial, /*num_threads=*/1);
-  EStep(gm, w.data(), n, nullptr, &parallel, /*num_threads=*/4);
-  EStep(gm, w.data(), n, nullptr, &parallel_again, /*num_threads=*/4);
   EXPECT_EQ(serial.count, n);
-  EXPECT_EQ(parallel.count, n);
-  for (int k = 0; k < 4; ++k) {
-    auto ks = static_cast<std::size_t>(k);
-    // Serial vs parallel differ only in double summation order: 1e-12 rel.
-    EXPECT_NEAR(serial.resp_sum[ks], parallel.resp_sum[ks],
-                1e-12 * std::max(1.0, std::fabs(serial.resp_sum[ks])));
-    EXPECT_NEAR(serial.resp_w2_sum[ks], parallel.resp_w2_sum[ks],
-                1e-12 * std::max(1.0, std::fabs(serial.resp_w2_sum[ks])));
-    // Fixed-shard-order reduction: repeated parallel runs are bitwise equal.
-    EXPECT_EQ(parallel.resp_sum[ks], parallel_again.resp_sum[ks]);
-    EXPECT_EQ(parallel.resp_w2_sum[ks], parallel_again.resp_w2_sum[ks]);
+  for (int budget : {2, 4, 8}) {
+    GmSuffStats parallel;
+    parallel.Reset(4);
+    EStep(gm, w.data(), n, nullptr, &parallel, budget);
+    EXPECT_EQ(parallel.count, n);
+    // Fixed chunks added in chunk order: exact at every budget.
+    EXPECT_EQ(parallel.resp_sum, serial.resp_sum) << "budget " << budget;
+    EXPECT_EQ(parallel.resp_w2_sum, serial.resp_w2_sum) << "budget " << budget;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EStepDeterminismTest,
                          ::testing::Values(std::int64_t{0}, std::int64_t{1},
                                            std::int64_t{7}, std::int64_t{1000},
-                                           kEStepGrain - 1, kEStepGrain + 1,
+                                           kChunkGrain - 1, kChunkGrain + 1,
                                            std::int64_t{1} << 17));
 
 // ---------------------------------------------------------------------------
@@ -286,19 +397,19 @@ TEST(GmRegularizerParallelTest, UptGmParamMatchesSerialWithinTolerance) {
   constexpr std::int64_t kN = (std::int64_t{1} << 17) + 13;
   Tensor w = MakeWeightTensor(kN, 22);
   GmRegularizer serial("w", kN, ThreadedOptions(1));
-  GmRegularizer parallel("w", kN, ThreadedOptions(4));
+  std::vector<std::unique_ptr<GmRegularizer>> parallel;
+  for (int budget : {2, 4, 8}) {
+    parallel.push_back(
+        std::make_unique<GmRegularizer>("w", kN, ThreadedOptions(budget)));
+  }
   for (int step = 0; step < 3; ++step) {
     serial.UptGmParam(w);
-    parallel.UptGmParam(w);
-    for (int k = 0; k < serial.mixture().num_components(); ++k) {
-      auto ks = static_cast<std::size_t>(k);
-      EXPECT_NEAR(serial.mixture().pi()[ks], parallel.mixture().pi()[ks],
-                  1e-12)
-          << "step " << step << " component " << k;
-      EXPECT_NEAR(serial.mixture().lambda()[ks],
-                  parallel.mixture().lambda()[ks],
-                  1e-12 * std::max(1.0, serial.mixture().lambda()[ks]))
-          << "step " << step << " component " << k;
+    for (const auto& reg : parallel) {
+      reg->UptGmParam(w);
+      EXPECT_EQ(reg->mixture().pi(), serial.mixture().pi())
+          << "step " << step << " budget " << reg->num_threads_resolved();
+      EXPECT_EQ(reg->mixture().lambda(), serial.mixture().lambda())
+          << "step " << step << " budget " << reg->num_threads_resolved();
     }
   }
 }
@@ -329,37 +440,65 @@ TEST(GmRegularizerParallelTest, PenaltyMatchesSerialWithinTolerance) {
   constexpr std::int64_t kN = (std::int64_t{1} << 17) + 13;
   Tensor w = MakeWeightTensor(kN, 24);
   GmRegularizer serial("w", kN, ThreadedOptions(1));
-  GmRegularizer parallel("w", kN, ThreadedOptions(4));
   double ps = serial.Penalty(w);
-  double pp = parallel.Penalty(w);
-  EXPECT_NEAR(ps, pp, 1e-12 * std::max(1.0, std::fabs(ps)));
+  for (int budget : {2, 4, 8}) {
+    GmRegularizer parallel("w", kN, ThreadedOptions(budget));
+    EXPECT_EQ(parallel.Penalty(w), ps) << "budget " << budget;
+  }
 }
 
 TEST(GmRegularizerParallelTest, AccumulateGradientStaysCloseAcrossBudgets) {
-  // End-to-end lazy loop: tiny reduction-order differences in the M-step
-  // may drift the mixtures apart at the ulp level, so this is a tolerance
-  // check, not a bitwise one.
+  // End-to-end lazy loop over greg-only, M-step-only and fused iterations:
+  // every budget must reproduce the serial gradients exactly.
   constexpr std::int64_t kN = (std::int64_t{1} << 15) + 5;
   Tensor w = MakeWeightTensor(kN, 25);
-  GmOptions serial_opts = ThreadedOptions(1);
-  GmOptions parallel_opts = ThreadedOptions(4);
-  serial_opts.lazy.warmup_epochs = parallel_opts.lazy.warmup_epochs = 0;
-  serial_opts.lazy.greg_interval = parallel_opts.lazy.greg_interval = 2;
-  serial_opts.lazy.gm_interval = parallel_opts.lazy.gm_interval = 3;
-  GmRegularizer serial("w", kN, serial_opts);
-  GmRegularizer parallel("w", kN, parallel_opts);
-  Tensor grad_serial({kN}), grad_parallel({kN});
-  for (std::int64_t it = 0; it < 6; ++it) {
-    serial.AccumulateGradient(w, it, /*epoch=*/1, 0.5, &grad_serial);
-    parallel.AccumulateGradient(w, it, /*epoch=*/1, 0.5, &grad_parallel);
+  auto run = [&](int budget, Tensor* grad) {
+    GmOptions opts = ThreadedOptions(budget);
+    opts.lazy.warmup_epochs = 0;
+    opts.lazy.greg_interval = 2;
+    opts.lazy.gm_interval = 3;
+    GmRegularizer reg("w", kN, opts);
+    for (std::int64_t it = 0; it < 6; ++it) {
+      reg.AccumulateGradient(w, it, /*epoch=*/1, 0.5, grad);
+    }
+    EXPECT_EQ(reg.estep_count(), 3);
+    EXPECT_EQ(reg.mstep_count(), 2);
+    return reg.mixture();
+  };
+  Tensor grad_serial({kN});
+  GaussianMixture gm_serial = run(1, &grad_serial);
+  for (int budget : {2, 4, 8}) {
+    Tensor grad_parallel({kN});
+    GaussianMixture gm_parallel = run(budget, &grad_parallel);
+    ::gmreg::testing::ExpectTensorBitwiseEqual(
+        grad_serial, grad_parallel, "budget " + std::to_string(budget));
+    EXPECT_EQ(gm_parallel.pi(), gm_serial.pi()) << "budget " << budget;
+    EXPECT_EQ(gm_parallel.lambda(), gm_serial.lambda()) << "budget " << budget;
   }
-  EXPECT_EQ(serial.estep_count(), parallel.estep_count());
-  EXPECT_EQ(serial.mstep_count(), parallel.mstep_count());
-  for (std::int64_t i = 0; i < kN; i += 101) {
-    ASSERT_NEAR(grad_serial[i], grad_parallel[i],
-                1e-5 * std::max(1.0f, std::fabs(grad_serial[i])))
-        << "element " << i;
+}
+
+// Eager AccumulateGradient runs one pass for the greg and the suffstats;
+// it must equal CalcRegGrad, then the greg's use, then UptGmParam.
+TEST(GmRegularizerParallelTest, FusedPassMatchesSeparatePasses) {
+  constexpr std::int64_t kN = 3 * kChunkGrain + 17;
+  Tensor w = MakeWeightTensor(kN, 27);
+  GmRegularizer fused("w", kN, ThreadedOptions(4));
+  GmRegularizer separate("w", kN, ThreadedOptions(4));
+  Tensor grad_fused({kN}), grad_separate({kN});
+  for (std::int64_t it = 0; it < 3; ++it) {
+    fused.AccumulateGradient(w, it, /*epoch=*/0, 0.5, &grad_fused);
+    separate.CalcRegGrad(w);
+    Axpy(0.5f, separate.greg(), &grad_separate);
+    separate.UptGmParam(w);
   }
+  EXPECT_EQ(fused.estep_count(), 3);
+  EXPECT_EQ(fused.mstep_count(), 3);
+  ::gmreg::testing::ExpectTensorBitwiseEqual(grad_fused, grad_separate,
+                                             "fused vs separate grad");
+  ::gmreg::testing::ExpectTensorBitwiseEqual(fused.greg(), separate.greg(),
+                                             "fused vs separate greg");
+  EXPECT_EQ(fused.mixture().pi(), separate.mixture().pi());
+  EXPECT_EQ(fused.mixture().lambda(), separate.mixture().lambda());
 }
 
 TEST(GmRegularizerParallelTest, TimingCountersAdvance) {
@@ -376,12 +515,12 @@ TEST(GmRegularizerParallelTest, TimingCountersAdvance) {
 }
 
 // ---------------------------------------------------------------------------
-// Gradient check (satellite of tests/gradient_check.h): the cached greg of
-// CalcRegGrad must equal the central finite difference of Penalty — probed
-// on and around shard boundaries to catch any sharding off-by-one.
+// Gradient check: the cached greg of CalcRegGrad must equal the central
+// finite difference of Penalty — probed on and around chunk boundaries to
+// catch any chunking off-by-one.
 
 TEST(GregGradientCheckTest, MatchesFiniteDifferenceOfPenalty) {
-  const std::int64_t n = 3 * kEStepGrain + 17;  // 4 uneven shards at 4 threads
+  const std::int64_t n = 3 * kChunkGrain + 17;  // 3 chunks and a short tail
   Rng rng(11);
   Tensor w = testing::RandomTensor({n}, &rng);
   GmRegularizer reg("w", n, ThreadedOptions(4));
@@ -391,12 +530,12 @@ TEST(GregGradientCheckTest, MatchesFiniteDifferenceOfPenalty) {
 
   std::set<std::int64_t> probes = {0,
                                    1,
-                                   kEStepGrain - 1,
-                                   kEStepGrain,
-                                   kEStepGrain + 1,
-                                   2 * kEStepGrain - 1,
-                                   2 * kEStepGrain,
-                                   3 * kEStepGrain,
+                                   kChunkGrain - 1,
+                                   kChunkGrain,
+                                   kChunkGrain + 1,
+                                   2 * kChunkGrain - 1,
+                                   2 * kChunkGrain,
+                                   3 * kChunkGrain,
                                    n - 2,
                                    n - 1};
   for (std::int64_t i = 0; i < n; i += n / 24) probes.insert(i);

@@ -1,7 +1,7 @@
 #include <cmath>
 #include <memory>
 
-#include "gradient_check.h"
+#include "testutil/gmreg_testutil.h"
 #include "gtest/gtest.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"

@@ -1,7 +1,7 @@
 #include <cmath>
 #include <set>
 
-#include "gradient_check.h"
+#include "testutil/gmreg_testutil.h"
 #include "tensor/tensor_ops.h"
 #include "gtest/gtest.h"
 #include "models/alex_cifar10.h"

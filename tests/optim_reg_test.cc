@@ -1,6 +1,6 @@
 #include <cmath>
 
-#include "gradient_check.h"
+#include "testutil/gmreg_testutil.h"
 #include "gtest/gtest.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"

@@ -32,7 +32,7 @@ std::vector<RegContractSpec> AllRegContractSpecs() {
     RegContractSpec spec;
     spec.config = config;
     if (kind == "none" || kind == "l2") {
-      // Defaults: non-negative, cross-budget bitwise, stateless, smooth.
+      // Defaults: non-negative, stateless, smooth.
     } else if (kind == "l1" || kind == "elastic") {
       spec.kinks = {0.0};
     } else if (kind == "huber") {
@@ -40,15 +40,11 @@ std::vector<RegContractSpec> AllRegContractSpecs() {
       // magnitude matches the example config's mu.
       spec.kinks = {0.0, 0.1};
     } else if (kind == "gm") {
-      // -log p(w) of a density can go negative; the shard count of its
-      // reductions follows the thread budget (1e-12 closeness across
-      // budgets, bitwise only per budget); MAP-EM with Dirichlet/Gamma
+      // -log p(w) of a density can go negative; MAP-EM with Dirichlet/Gamma
       // hyper-priors ascends the regularized objective, not the bare
       // marginal, so penalty monotonicity is not part of its contract.
       spec.penalty_nonnegative = false;
-      spec.cross_budget_bitwise = false;
       spec.adaptive = true;
-      spec.state_deterministic = false;  // embeds estep/mstep wall-clock
     } else if (kind == "epgig") {
       spec.penalty_nonnegative = false;  // includes -M log(alpha/2) etc.
       spec.adaptive = true;
@@ -70,8 +66,8 @@ std::vector<RegContractSpec> AllRegContractSpecs() {
 
 namespace {
 
-// 4 uneven grains at the reduction grain of 4096, so every parallel code
-// path (including the tail chunk) is exercised at budgets 1/2/4.
+// 4 uneven chunks at kChunkGrain = 4096, so every parallel code path
+// (including the short tail chunk) is exercised at budgets 1/2/4/8.
 constexpr std::int64_t kSuiteDims = 3 * 4096 + 17;
 
 std::uint64_t BitsOf(double v) {
@@ -248,18 +244,12 @@ TEST_P(RegContractTest, BitwiseReproducibleRunToRunAtEachBudget) {
         << spec.config << " penalty @" << budget << " threads";
     std::string s1, s2;
     EXPECT_EQ(r1->SaveState(&s1), r2->SaveState(&s2));
-    if (spec.state_deterministic) {
-      EXPECT_EQ(s1, s2) << spec.config << " state @" << budget << " threads";
-    }
+    EXPECT_EQ(s1, s2) << spec.config << " state @" << budget << " threads";
   }
 }
 
 TEST_P(RegContractTest, BitwiseIdenticalAcrossThreadBudgets) {
   const RegContractSpec& spec = GetParam();
-  if (!spec.cross_budget_bitwise) {
-    GTEST_SKIP() << "this prior promises 1e-12 closeness across budgets, "
-                    "bitwise only per budget (docs/REGULARIZERS.md)";
-  }
   Tensor ref = MakeBimodalWeightTensor(kSuiteDims, 19);
   std::unique_ptr<Regularizer> ref_reg = MakeReg(spec.config);
   double ref_penalty;
@@ -270,7 +260,7 @@ TEST_P(RegContractTest, BitwiseIdenticalAcrossThreadBudgets) {
     ref_penalty = ref_reg->Penalty(ref);
     ref_reg->SaveState(&ref_state);
   }
-  for (int budget : {2, 4}) {
+  for (int budget : {2, 4, 8}) {
     ScopedThreadBudget scoped(budget);
     Tensor w = MakeBimodalWeightTensor(kSuiteDims, 19);
     std::unique_ptr<Regularizer> reg = MakeReg(spec.config);
@@ -311,9 +301,7 @@ TEST_P(RegContractTest, CheckpointSaveLoadStepBitExact) {
       << spec.config << " resumed penalty";
   std::string s_orig, s_resumed;
   EXPECT_EQ(original->SaveState(&s_orig), resumed->SaveState(&s_resumed));
-  if (spec.state_deterministic) {
-    EXPECT_EQ(s_orig, s_resumed) << spec.config << " resumed state";
-  }
+  EXPECT_EQ(s_orig, s_resumed) << spec.config << " resumed state";
 }
 
 TEST_P(RegContractTest, LoadStateRejectsGarbage) {

@@ -14,12 +14,10 @@
 ///     (where declared — MAP-EM priors with hyper-priors on the mixture
 ///     ascend a different objective and opt out);
 ///   * run-to-run bitwise determinism at 1, 2 and 4 threads;
-///   * bitwise-identical results across thread budgets (where declared —
-///     the GM prior's shard count follows the budget, so it guarantees
-///     1e-12 closeness instead; the EP-GIG / dynprior family reduces with
-///     ParallelChunkedSum and makes the stronger promise);
-///   * checkpoint SaveState -> LoadState -> step is bit-exact, and
-///     LoadState rejects garbage.
+///   * bitwise-identical weights, penalty and state across thread budgets
+///     (every reduction runs over ParallelChunkedSum's fixed chunks);
+///   * checkpoint SaveState -> LoadState -> step is bit-exact, the state
+///     record included, and LoadState rejects garbage.
 ///
 /// Registering a new kind in the factory without adding a spec here fails
 /// the suite's coverage test — that is the gate that makes the next prior
@@ -41,18 +39,10 @@ struct RegContractSpec {
   /// Penalty(w) >= 0 for all w. True for the norm family and dynprior;
   /// false for density-based priors whose -log p(w) can go negative.
   bool penalty_nonnegative = true;
-  /// AccumulateGradient and Penalty are bitwise identical across thread
-  /// budgets, not just reproducible at a fixed budget.
-  bool cross_budget_bitwise = true;
   /// Repeated adaptive updates on fixed weights never increase Penalty.
   bool monotone_penalty = false;
   /// Carries mutable training state (SaveState returns true).
   bool adaptive = false;
-  /// SaveState is a pure function of the training trajectory. False when
-  /// the record embeds wall-clock telemetry (the GM prior persists its
-  /// E/M-step seconds); the suite then verifies resume bit-exactness
-  /// behaviorally (weights + penalty) instead of comparing state strings.
-  bool state_deterministic = true;
   /// Factory config string (one of RegularizerExampleConfigs()).
   std::string config;
   /// |w| magnitudes where the penalty is non-smooth (0 = kink at zero);

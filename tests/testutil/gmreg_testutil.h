@@ -22,7 +22,7 @@ namespace gmreg {
 namespace testing {
 
 // ---------------------------------------------------------------------------
-// Finite-difference gradient checking (formerly tests/gradient_check.h).
+// Finite-difference gradient checking.
 
 /// Default central-difference perturbation and tolerances. Forward math is
 /// float32, so the tolerance combines a relative and an absolute term; the
