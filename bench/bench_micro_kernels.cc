@@ -4,13 +4,15 @@
 // compared against, and the GEMM that dominates the network substrate.
 //
 // Custom main: before the google-benchmark suite runs, a fixed GEMM sweep
-// times the packed kernel against a naive scalar baseline at 1 thread and
-// writes BENCH_kernels.json (GFLOP/s + speedup per shape) — the record CI
-// archives on every run. Passing --benchmark_filter that matches nothing
-// runs just the sweep.
+// times the packed kernel against a naive scalar baseline at 1 thread, and
+// a conv sweep times Alex-CIFAR-10's conv layers beside a GEMM of each
+// layer's shape; both write BENCH_kernels.json (GFLOP/s + speedup per
+// shape) — the record CI archives on every run. Passing --benchmark_filter
+// that matches nothing runs just the sweeps.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -19,6 +21,7 @@
 #include "bench_util.h"
 #include "core/em.h"
 #include "core/gm_regularizer.h"
+#include "nn/conv.h"
 #include "reg/norms.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/random.h"
@@ -260,8 +263,89 @@ double TimePerCall(const std::function<void()>& fn, double min_seconds) {
   return watch.ElapsedSeconds() / static_cast<double>(iters);
 }
 
-// Times the packed Gemm and the baseline on the standard shapes at a
-// 1-thread budget and writes BENCH_kernels.json.
+// Best wall time of one call: one warmup, then calls until `min_seconds`
+// elapses and at least five have run.
+double BestTimePerCall(const std::function<void()>& fn, double min_seconds) {
+  fn();
+  Stopwatch total;
+  double best = 0.0;
+  int calls = 0;
+  do {
+    Stopwatch watch;
+    fn();
+    double secs = watch.ElapsedSeconds();
+    best = calls == 0 ? secs : std::min(best, secs);
+    ++calls;
+  } while (calls < 5 || total.ElapsedSeconds() < min_seconds);
+  return best;
+}
+
+// Alex-CIFAR-10's conv layers at its 16x16 input (models/alex_cifar10.cc:
+// 5x5 kernels, stride 1, pad 2), batch 16, at the caller's budget. Each
+// row divides the layer's forward plus backward flops (forward, dW and
+// column-gradient GEMMs) by its best time, beside one GEMM of the layer's
+// forward shape [Cout, batch*Hout*Wout, Cin*5*5]: the gap is what im2col,
+// col2im, the NCHW copies and the sample groups cost.
+void RunConvSweep(double min_seconds, bench::JsonSummary* summary) {
+  struct ConvLayer {
+    const char* key;
+    std::int64_t in_c, out_c, hw;
+  };
+  const ConvLayer layers[] = {
+      {"alex_conv1", 3, 32, 16},
+      {"alex_conv2", 32, 32, 8},
+      {"alex_conv3", 32, 64, 4},
+  };
+  constexpr std::int64_t kBatch = 16;
+  constexpr int kKernel = 5;
+  std::printf("Conv layers, forward + backward (batch %lld, kernel=%s)\n",
+              static_cast<long long>(kBatch), GetKernelOps().name);
+  std::printf("%-20s %12s %12s %9s\n", "layer", "layer GF/s", "GEMM GF/s",
+              "ratio");
+  for (const ConvLayer& l : layers) {
+    Rng rng(5);
+    Conv2d conv(l.key, l.in_c, l.out_c, kKernel, /*stride=*/1, /*padding=*/2,
+                InitSpec::Gaussian(0.1), &rng);
+    Tensor in({kBatch, l.in_c, l.hw, l.hw});
+    FillGaussian(&rng, 0.0, 1.0, &in);
+    Tensor out;
+    conv.Forward(in, &out, /*train=*/true);
+    Tensor gout(out.shape());
+    FillGaussian(&rng, 0.0, 1.0, &gout);
+    Tensor gin;
+    double layer_s = BestTimePerCall(
+        [&] {
+          conv.Forward(in, &out, /*train=*/true);
+          conv.Backward(gout, &gin);
+        },
+        min_seconds);
+    std::int64_t m = l.out_c, n = kBatch * l.hw * l.hw;
+    std::int64_t k = l.in_c * kKernel * kKernel;
+    Tensor a({m, k}), b({k, n}), c({m, n});
+    FillUniform(&rng, -1.0, 1.0, &a);
+    FillUniform(&rng, -1.0, 1.0, &b);
+    double gemm_s = BestTimePerCall(
+        [&] {
+          Gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+               c.data(), n);
+        },
+        min_seconds);
+    double gemm_flops = 2.0 * static_cast<double>(m) *
+                        static_cast<double>(n) * static_cast<double>(k);
+    double layer_gflops = 3.0 * gemm_flops / layer_s / 1e9;
+    double gemm_gflops = gemm_flops / gemm_s / 1e9;
+    std::printf("%-20s %12.2f %12.2f %8.2fx\n", l.key, layer_gflops,
+                gemm_gflops, layer_gflops / gemm_gflops);
+    std::string key = StrFormat("conv.%s", l.key);
+    summary->Add(key + ".gflops", layer_gflops);
+    summary->Add(key + ".gemm.gflops", gemm_gflops);
+  }
+  std::printf("\n");
+}
+
+// Times the packed Gemm and the baseline on the standard shapes, and the
+// conv layers, at a 1-thread budget, then the GEMM at budgets 1/2/4/8, and
+// writes BENCH_kernels.json.
 void RunKernelSweep() {
   SetDefaultNumThreads(1);
   bench::JsonSummary summary("kernels", "synthetic-gemm-sweep");
@@ -310,6 +394,7 @@ void RunKernelSweep() {
     summary.Add(key + ".speedup", packed_gflops / base_gflops);
   }
   std::printf("\n");
+  RunConvSweep(min_seconds, &summary);
 
   // Thread-scaling sweep of the 2D work-queue GEMM: budgets 1/2/4/8 per
   // shape, speedup vs the same packed kernel at budget 1. The mtN.speedup

@@ -96,7 +96,7 @@ void EStepImpl(const GaussianMixture& gm, const T* w, std::int64_t n,
       break;
   }
   const std::vector<double>& lambda = gm.lambda();
-  double r[64];
+  double r[kMaxGmComponents];
   for (std::int64_t m = 0; m < n; ++m) {
     double x = static_cast<double>(w[m]);
     gm.Responsibilities(x, r);
@@ -120,7 +120,7 @@ template <typename T>
 void EStepDispatch(const GaussianMixture& gm, const T* w, std::int64_t n,
                    T* greg_out, GmSuffStats* stats, int num_threads) {
   int kk = gm.num_components();
-  GMREG_CHECK_LE(kk, 64);
+  GMREG_CHECK_LE(kk, kMaxGmComponents);
   if (stats == nullptr) {
     if (greg_out == nullptr) return;
     ParallelFor(
@@ -168,12 +168,13 @@ void MStep(const GmSuffStats& stats, const GmHyperParams& hyper,
   GMREG_CHECK_EQ(static_cast<int>(stats.resp_sum.size()), kk);
   GMREG_CHECK_EQ(static_cast<int>(hyper.alpha.size()), kk);
   GMREG_CHECK_GT(stats.count, 0);
-  // K <= 64 everywhere (EStepImpl enforces it), so the updated parameters
-  // fit on the stack and the per-step M-step stays allocation-free; the
-  // arithmetic below is unchanged from the vector version.
-  GMREG_CHECK_LE(kk, 64);
-  double pi[64];
-  double lambda[64];
+  // K <= kMaxGmComponents everywhere (EStepImpl enforces it), so the
+  // updated parameters fit on the stack and the per-step M-step stays
+  // allocation-free; the arithmetic below is unchanged from the vector
+  // version.
+  GMREG_CHECK_LE(kk, kMaxGmComponents);
+  double pi[kMaxGmComponents];
+  double lambda[kMaxGmComponents];
   double m_total = static_cast<double>(stats.count);
   double pi_denom = m_total + hyper.AlphaSumMinusK();
   GMREG_CHECK_GT(pi_denom, 0.0);

@@ -160,8 +160,9 @@ Status MakeRegularizerFromConfig(const std::string& config,
         ParseDouble(kv, "min_precision", false, &opts.min_precision));
     if (kv.count("k") != 0u) {
       GMREG_RETURN_IF_ERROR(ParseDouble(kv, "k", true, &v));
-      if (v < 1.0 || v > 64.0) {
-        return Status::OutOfRange("k must be in [1, 64]");
+      if (v < 1.0 || v > kMaxGmComponents) {
+        return Status::OutOfRange(
+            StrFormat("k must be in [1, %d]", kMaxGmComponents));
       }
       opts.num_components = static_cast<int>(v);
     }

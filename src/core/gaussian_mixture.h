@@ -20,6 +20,12 @@ enum class GmInitMethod {
 GmInitMethod ParseGmInitMethod(const std::string& name);
 const char* GmInitMethodName(GmInitMethod method);
 
+/// Most components a mixture may have. The E- and M-steps keep one value
+/// per component on the stack (core/em.cc); the factory and every parser
+/// of a mixture, a gmreg-state record, suffstats or an E-step request
+/// return OutOfRange above it.
+inline constexpr int kMaxGmComponents = 64;
+
 /// Zero-mean one-dimensional Gaussian mixture
 ///   p(x) = sum_k pi_k * N(x | 0, lambda_k)          (paper Eq. 4)
 /// parameterized by mixing coefficients pi (summing to 1) and precisions

@@ -172,9 +172,9 @@ Status GmRegularizer::LoadState(const std::string& text) {
     return Status::InvalidArgument("unsupported gmreg-state version '" +
                                    version + "'");
   }
-  if (k < 1 || k > 1024) {
-    return Status::OutOfRange(
-        StrFormat("component count %d outside [1, 1024]", k));
+  if (k < 1 || k > kMaxGmComponents) {
+    return Status::OutOfRange(StrFormat("component count %d outside [1, %d]",
+                                        k, kMaxGmComponents));
   }
   auto ks = static_cast<std::size_t>(k);
   std::vector<double> pi(ks), lambda(ks), alpha(ks);

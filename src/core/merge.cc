@@ -144,9 +144,9 @@ Status DecodeGmSuffStats(const std::string& text, GmSuffStats* out) {
     return Status::InvalidArgument("unsupported gm-suffstats version '" +
                                    version + "'");
   }
-  if (k < 1 || k > 1024) {
-    return Status::OutOfRange(
-        StrFormat("component count %d outside [1, 1024]", k));
+  if (k < 1 || k > kMaxGmComponents) {
+    return Status::OutOfRange(StrFormat("component count %d outside [1, %d]",
+                                        k, kMaxGmComponents));
   }
   if (count < 0) {
     return Status::OutOfRange(

@@ -46,8 +46,8 @@ GaussianMixture MergeSimilarComponents(const GaussianMixture& gm,
 std::string EncodeGmSuffStats(const GmSuffStats& stats);
 
 /// Parses an EncodeGmSuffStats line into `*out` (fully overwritten).
-/// Rejects malformed input, non-finite values, K outside [1, 1024], a
-/// negative count, and trailing garbage.
+/// Rejects malformed input, non-finite values, K outside
+/// [1, kMaxGmComponents], a negative count, and trailing garbage.
 Status DecodeGmSuffStats(const std::string& text, GmSuffStats* out);
 
 /// Decodes every line of `encoded` and folds it into `*out` in index

@@ -25,8 +25,9 @@ Status DeserializeMixture(const std::string& text, GaussianMixture* out) {
   if (!(iss >> magic >> version >> k) || magic != "gm" || version != "v1") {
     return Status::InvalidArgument("not a 'gm v1' mixture record");
   }
-  if (k < 1 || k > 1024) {
-    return Status::OutOfRange(StrFormat("component count %d outside [1, 1024]", k));
+  if (k < 1 || k > kMaxGmComponents) {
+    return Status::OutOfRange(StrFormat("component count %d outside [1, %d]",
+                                        k, kMaxGmComponents));
   }
   std::vector<double> pi(static_cast<std::size_t>(k));
   std::vector<double> lambda(static_cast<std::size_t>(k));

@@ -44,7 +44,7 @@ double LocalShardedSource::ComputeGradient(std::int64_t iteration,
     replica_->Forward(input_, &logits_, /*train=*/true);
     double slice_loss =
         SoftmaxCrossEntropy::ForwardBackward(logits_, labels_, &grad_logits_);
-    replica_->Backward(grad_logits_, &grad_input_);
+    replica_->Backward(grad_logits_, /*grad_in=*/nullptr);
     // What the coordinator does with the reply: rank-order fold with float
     // weight slice_rows / batch_size (rank 0 assigns — so world 1 forwards
     // the replica's gradient bits unchanged, 1.0f * g being exact).

@@ -54,7 +54,6 @@ class LocalShardedSource : public GradientSource {
   std::vector<int> labels_;
   Tensor logits_;
   Tensor grad_logits_;
-  Tensor grad_input_;
 };
 
 /// GmEStepExecutor computing what W distributed workers would: the weight

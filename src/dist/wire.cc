@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/string_util.h"
+
 namespace gmreg {
 namespace {
 
@@ -223,6 +225,11 @@ Status EStepRequestMsg::Decode(const std::string& payload,
   out->want_stats = want_stats != 0;
   if (out->pi.empty() || out->pi.size() != out->lambda.size()) {
     return Status::OutOfRange("estep-request mixture is malformed");
+  }
+  if (out->pi.size() > static_cast<std::size_t>(kMaxGmComponents)) {
+    return Status::OutOfRange(
+        StrFormat("estep-request component count %zu above %d",
+                  out->pi.size(), kMaxGmComponents));
   }
   if (out->slice_begin < 0) {
     return Status::OutOfRange("estep-request slice_begin is negative");

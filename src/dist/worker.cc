@@ -25,7 +25,6 @@ struct WorkerState {
   std::vector<int> labels;
   Tensor logits;
   Tensor grad_logits;
-  Tensor grad_input;
   GmSuffStats stats;
   std::vector<float> greg;
 };
@@ -62,7 +61,7 @@ Status ServeGradRequest(const DistJobSpec& spec,
     state->net->Forward(state->input, &state->logits, /*train=*/true);
     reply.loss = SoftmaxCrossEntropy::ForwardBackward(
         state->logits, state->labels, &state->grad_logits);
-    state->net->Backward(state->grad_logits, &state->grad_input);
+    state->net->Backward(state->grad_logits, /*grad_in=*/nullptr);
   }
   reply.grads.reserve(state->params.size());
   for (const ParamRef& p : state->params) {

@@ -44,6 +44,7 @@ void Relu::Forward(const Tensor& in, Tensor* out, bool train) {
 }
 
 void Relu::Backward(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) return;
   EnsureShape(in_shape_, grad_in);
   std::int64_t n = grad_out.size();
   GMREG_CHECK_EQ(static_cast<std::int64_t>(mask_.size()), n);
@@ -90,6 +91,7 @@ void Lrn::Forward(const Tensor& in, Tensor* out, bool train) {
 }
 
 void Lrn::Backward(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) return;
   // With s_i = denom_i^{-beta} from Forward:
   // gin_j = gout_j * s_j
   //         - (2*alpha*beta/n) * in_j * sum_{i: j in win(i)} gout_i*in_i*s_i/denom_i

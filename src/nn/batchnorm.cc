@@ -78,13 +78,16 @@ void BatchNorm2d::Forward(const Tensor& in, Tensor* out, bool train) {
 }
 
 void BatchNorm2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
-  EnsureShape(in_shape_, grad_in);
   std::int64_t b = in_shape_[0], hw = in_shape_[2] * in_shape_[3];
   std::int64_t chw = channels_ * hw;
   double count = static_cast<double>(b * hw);
   const float* gp = grad_out.data();
   const float* xh = x_hat_.data();
-  float* gi = grad_in->data();
+  float* gi = nullptr;
+  if (grad_in != nullptr) {
+    EnsureShape(in_shape_, grad_in);
+    gi = grad_in->data();
+  }
   for (std::int64_t ch = 0; ch < channels_; ++ch) {
     double sum_g = 0.0, sum_gx = 0.0;
     for (std::int64_t i = 0; i < b; ++i) {
@@ -97,6 +100,7 @@ void BatchNorm2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
     }
     gamma_grad_[ch] += static_cast<float>(sum_gx);
     beta_grad_[ch] += static_cast<float>(sum_g);
+    if (gi == nullptr) continue;
     double mean_g = sum_g / count;
     double mean_gx = sum_gx / count;
     double coeff =

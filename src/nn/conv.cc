@@ -1,6 +1,7 @@
 #include "nn/conv.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "tensor/quantize.h"
 #include "tensor/random.h"
@@ -21,15 +22,50 @@ constexpr std::int64_t kGroupFloats = std::int64_t{1} << 16;
 // Per-thread scratch that every Conv2d on the thread shares, like the GEMM's
 // packed-B buffer: a layer's pass finishes before the next layer's starts,
 // and a serving worker (one pool task) has its own. Grow-only and
-// arena-served, so steady-state steps never touch the heap.
+// arena-served, so steady-state steps never touch the heap. All three are
+// sized by the layer shape, never the batch.
 struct ConvScratch {
   ScratchBuffer<float> panel;  // im2col columns, then dcol [patch, g*cols]
   ScratchBuffer<float> rows;   // outputs or output gradients [Cout, g*cols]
+  // One zero-padded input plane [H+2p, W+2p], taken by the thread that runs
+  // a sample's im2col or col2im (a pool worker at budget > 1).
+  ScratchBuffer<float> plane;
 };
 
 ConvScratch& ThreadConvScratch() {
   thread_local ConvScratch scratch;
   return scratch;
+}
+
+// dst[0, n) = src[0, n). From n = 4 up, as inline 4-float moves, the last
+// one ending at n and overlapping the one before it when 4 does not divide
+// n: a memcpy call per short run costs 2-3x as much.
+inline void CopyRun(const float* src, std::int64_t n, float* dst) {
+  if (n < 4) {
+    for (std::int64_t j = 0; j < n; ++j) dst[j] = src[j];
+    return;
+  }
+  for (std::int64_t j = 0; j + 4 < n; j += 4) {
+    std::memcpy(dst + j, src + j, 4 * sizeof(float));
+  }
+  std::memcpy(dst + n - 4, src + n - 4, 4 * sizeof(float));
+}
+
+// dst[0, n) += src[0, n), one add per element. Four at a time through
+// locals, so the adds vectorize; a scalar loop takes the tail.
+inline void AddRun(const float* src, std::int64_t n, float* dst) {
+  std::int64_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    float a0 = dst[j] + src[j];
+    float a1 = dst[j + 1] + src[j + 1];
+    float a2 = dst[j + 2] + src[j + 2];
+    float a3 = dst[j + 3] + src[j + 3];
+    dst[j] = a0;
+    dst[j + 1] = a1;
+    dst[j + 2] = a2;
+    dst[j + 3] = a3;
+  }
+  for (; j < n; ++j) dst[j] += src[j];
 }
 
 }  // namespace
@@ -68,21 +104,34 @@ std::int64_t Conv2d::GroupSize(std::int64_t cols) const {
 void Conv2d::Im2Col(const float* img, std::int64_t h, std::int64_t w,
                     std::int64_t out_h, std::int64_t out_w, float* col,
                     std::int64_t ld) const {
-  std::int64_t cols = out_h * out_w;
+  std::int64_t pad = padding_;
+  std::int64_t pw = w + 2 * pad;
+  std::int64_t plane_floats = (h + 2 * pad) * pw;
+  float* plane = ThreadConvScratch().plane.EnsureCapacity(
+      static_cast<std::size_t>(plane_floats));
+  // Zeroed once: each channel overwrites only the interior, so the border
+  // stays zero.
+  std::fill(plane, plane + plane_floats, 0.0f);
   for (std::int64_t c = 0; c < in_channels_; ++c) {
+    for (std::int64_t ih = 0; ih < h; ++ih) {
+      CopyRun(img + (c * h + ih) * w, w, plane + (pad + ih) * pw + pad);
+    }
+    // Row (c, kh, kw) of the panel reads out_h segments of the plane, one
+    // per output row, each wholly inside it.
     for (int kh = 0; kh < kernel_; ++kh) {
       for (int kw = 0; kw < kernel_; ++kw) {
         std::int64_t row = (c * kernel_ + kh) * kernel_ + kw;
         float* dst = col + row * ld;
-        std::fill(dst, dst + cols, 0.0f);
+        const float* src = plane + kh * pw + kw;
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          std::int64_t ih = oh * stride_ - padding_ + kh;
-          if (ih < 0 || ih >= h) continue;
-          const float* src = img + (c * h + ih) * w;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            std::int64_t iw = ow * stride_ - padding_ + kw;
-            if (iw < 0 || iw >= w) continue;
-            dst[oh * out_w + ow] = src[iw];
+          const float* seg = src + oh * stride_ * pw;
+          float* out = dst + oh * out_w;
+          if (stride_ == 1) {
+            CopyRun(seg, out_w, out);
+          } else {
+            for (std::int64_t ow = 0; ow < out_w; ++ow) {
+              out[ow] = seg[ow * stride_];
+            }
           }
         }
       }
@@ -93,22 +142,35 @@ void Conv2d::Im2Col(const float* img, std::int64_t h, std::int64_t w,
 void Conv2d::Col2Im(const float* col, std::int64_t ld, std::int64_t h,
                     std::int64_t w, std::int64_t out_h, std::int64_t out_w,
                     float* img) const {
+  std::int64_t pad = padding_;
+  std::int64_t pw = w + 2 * pad;
+  std::int64_t plane_floats = (h + 2 * pad) * pw;
+  float* plane = ThreadConvScratch().plane.EnsureCapacity(
+      static_cast<std::size_t>(plane_floats));
   for (std::int64_t c = 0; c < in_channels_; ++c) {
+    // Every pixel, border included, sums its terms in (kh, kw) order from
+    // +0.0f; the interior is the channel's gradient.
+    std::fill(plane, plane + plane_floats, 0.0f);
     for (int kh = 0; kh < kernel_; ++kh) {
       for (int kw = 0; kw < kernel_; ++kw) {
         std::int64_t row = (c * kernel_ + kh) * kernel_ + kw;
         const float* src = col + row * ld;
+        float* dst = plane + kh * pw + kw;
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          std::int64_t ih = oh * stride_ - padding_ + kh;
-          if (ih < 0 || ih >= h) continue;
-          float* dst = img + (c * h + ih) * w;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            std::int64_t iw = ow * stride_ - padding_ + kw;
-            if (iw < 0 || iw >= w) continue;
-            dst[iw] += src[oh * out_w + ow];
+          const float* in = src + oh * out_w;
+          float* seg = dst + oh * stride_ * pw;
+          if (stride_ == 1) {
+            AddRun(in, out_w, seg);
+          } else {
+            for (std::int64_t ow = 0; ow < out_w; ++ow) {
+              seg[ow * stride_] += in[ow];
+            }
           }
         }
       }
+    }
+    for (std::int64_t ih = 0; ih < h; ++ih) {
+      CopyRun(plane + (pad + ih) * pw + pad, w, img + (c * h + ih) * w);
     }
   }
 }
@@ -198,7 +260,11 @@ void Conv2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
   std::int64_t cols = out_h * out_w;
   std::int64_t in_chw = in_channels_ * h * w;
   std::int64_t out_chw = out_channels_ * cols;
-  EnsureShape(cached_in_.shape(), grad_in);
+  float* gx = nullptr;
+  if (grad_in != nullptr) {
+    EnsureShape(cached_in_.shape(), grad_in);
+    gx = grad_in->data();
+  }
   std::int64_t group = GroupSize(cols);
   ConvScratch& scratch = ThreadConvScratch();
   float* panel = scratch.panel.EnsureCapacity(
@@ -207,7 +273,6 @@ void Conv2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
       static_cast<std::size_t>(out_channels_ * group * cols));
   const float* x = cached_in_.data();
   const float* gy = grad_out.data();
-  float* gx = grad_in->data();
   // The same groups as Forward. dW and db accumulate group after group in
   // group order, so every thread budget runs the same arithmetic.
   int groups = static_cast<int>((b + group - 1) / group);
@@ -228,15 +293,15 @@ void Conv2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
     Gemm(false, true, out_channels_, patch, n, 1.0f, rows, n, panel, n, 1.0f,
          weight_grad_.data(), patch);
     RowSumsAccum(out_channels_, n, rows, bias_grad_.data());
+    if (gx == nullptr) continue;  // nobody reads d(loss)/d(input)
     // dcol [patch, n] = W^T [patch, Cout] * gout [Cout, n], into the spent
     // panel.
     Gemm(true, false, patch, n, out_channels_, 1.0f, weight_.data(), patch,
          rows, n, 0.0f, panel, n);
     ParallelFor(g0, g1, /*grain=*/1, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
-        float* img = gx + i * in_chw;
-        std::fill(img, img + in_chw, 0.0f);
-        Col2Im(panel + (i - g0) * cols, n, h, w, out_h, out_w, img);
+        Col2Im(panel + (i - g0) * cols, n, h, w, out_h, out_w,
+               gx + i * in_chw);
       }
     });
   }

@@ -14,7 +14,10 @@ namespace gmreg {
 /// depend only on the layer shape and the batch size: each group is one
 /// im2col panel [Cin*Kh*Kw, g*Hout*Wout] and one GEMM per pass, so the
 /// output and all gradients are bitwise identical at every thread budget
-/// (docs/KERNELS.md).
+/// (docs/KERNELS.md). im2col and col2im go through one zero-padded input
+/// plane [H+2p, W+2p] per thread, so they read and write it with no bounds
+/// test. `Backward(grad_out, nullptr)` skips the column-gradient GEMM and
+/// col2im and still accumulates dW and db.
 class Conv2d : public Layer {
  public:
   Conv2d(std::string name, std::int64_t in_channels, std::int64_t out_channels,
@@ -40,11 +43,16 @@ class Conv2d : public Layer {
   /// bound, and at least one.
   std::int64_t GroupSize(std::int64_t cols) const;
   /// Writes one sample's im2col columns into a panel whose rows are `ld`
-  /// floats apart (0 where the window hangs over the padding).
+  /// floats apart (0 where the window hangs over the padding). Each channel
+  /// is copied into the interior of the calling thread's padded plane, whose
+  /// border is zero; every panel row is then out_h segments of that plane.
   void Im2Col(const float* img, std::int64_t h, std::int64_t w,
               std::int64_t out_h, std::int64_t out_w, float* col,
               std::int64_t ld) const;
-  /// Adds one sample's columns (rows `ld` floats apart) back into `img`.
+  /// Overwrites `img` with one sample's columns (rows `ld` floats apart)
+  /// summed back to pixels. Per channel, the calling thread's padded plane
+  /// is zeroed, each segment is added into it in (kh, kw) order, and the
+  /// interior is copied out.
   void Col2Im(const float* col, std::int64_t ld, std::int64_t h,
               std::int64_t w, std::int64_t out_h, std::int64_t out_w,
               float* img) const;

@@ -52,6 +52,7 @@ void Dense::Backward(const Tensor& grad_out, Tensor* grad_in) {
        weight_grad_.data(), out_features_);
   // db += column sums of gout
   ColSumsAccum(b, out_features_, grad_out.data(), bias_grad_.data());
+  if (grad_in == nullptr) return;
   // gin = gout * W^T
   EnsureShape({b, in_features_}, grad_in);
   Gemm(false, true, b, in_features_, out_features_, 1.0f, grad_out.data(),

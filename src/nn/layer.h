@@ -52,6 +52,11 @@ class Layer {
   /// Propagates the loss gradient. `grad_out` is d(loss)/d(output);
   /// `grad_in` receives d(loss)/d(input) (resized as needed). Must be
   /// preceded by a Forward(train=true) on the same input.
+  ///
+  /// `grad_in == nullptr` means the caller will not read d(loss)/d(input):
+  /// the layer still accumulates its parameter gradients, bit for bit as
+  /// with a non-null `grad_in`, and skips the work that only feeds it (a
+  /// trainer's first layer, whose input is the data).
   virtual void Backward(const Tensor& grad_out, Tensor* grad_in) = 0;
 
   /// Uniform inference entry point — one eval-mode forward (BatchNorm uses

@@ -63,6 +63,7 @@ void MaxPool2d::Forward(const Tensor& in, Tensor* out, bool train) {
 }
 
 void MaxPool2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) return;
   EnsureShape(in_shape_, grad_in);
   grad_in->SetZero();
   const float* gp = grad_out.data();
@@ -113,6 +114,7 @@ void AvgPool2d::Forward(const Tensor& in, Tensor* out, bool train) {
 }
 
 void AvgPool2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) return;
   std::int64_t b = in_shape_[0], c = in_shape_[1], h = in_shape_[2],
                w = in_shape_[3];
   std::int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
@@ -160,6 +162,7 @@ void GlobalAvgPool::Forward(const Tensor& in, Tensor* out, bool train) {
 }
 
 void GlobalAvgPool::Backward(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) return;
   std::int64_t hw = in_shape_[2] * in_shape_[3];
   EnsureShape(in_shape_, grad_in);
   const float* gp = grad_out.data();
@@ -181,6 +184,7 @@ void Flatten::Forward(const Tensor& in, Tensor* out, bool train) {
 }
 
 void Flatten::Backward(const Tensor& grad_out, Tensor* grad_in) {
+  if (grad_in == nullptr) return;
   *grad_in = grad_out;
   grad_in->Reshape(in_shape_);
 }

@@ -52,15 +52,17 @@ void Residual::Backward(const Tensor& grad_out, Tensor* grad_in) {
   for (std::int64_t i = 0; i < n; ++i) {
     rg[i] = relu_mask_[static_cast<std::size_t>(i)] ? gp[i] : 0.0f;
   }
-  main_->Backward(relu_grad_, &main_grad_);
+  // Without a grad_in the branches only accumulate their parameter
+  // gradients, and there is nothing to add.
+  bool want_in = grad_in != nullptr;
+  main_->Backward(relu_grad_, want_in ? &main_grad_ : nullptr);
   if (shortcut_ != nullptr) {
-    shortcut_->Backward(relu_grad_, &shortcut_grad_);
-    EnsureShape(main_grad_.shape(), grad_in);
-    Add(main_grad_, shortcut_grad_, grad_in);
-  } else {
-    EnsureShape(main_grad_.shape(), grad_in);
-    Add(main_grad_, relu_grad_, grad_in);
+    shortcut_->Backward(relu_grad_, want_in ? &shortcut_grad_ : nullptr);
   }
+  if (!want_in) return;
+  EnsureShape(main_grad_.shape(), grad_in);
+  Add(main_grad_, shortcut_ != nullptr ? shortcut_grad_ : relu_grad_,
+      grad_in);
 }
 
 bool Residual::BindQuantizedWeight(const std::string& param_name,

@@ -35,7 +35,7 @@ void Sequential::Backward(const Tensor& grad_out, Tensor* grad_in) {
     layers_[i]->Backward(*current, next);
     current = next;
   }
-  layers_[0]->Backward(*current, grad_in);
+  layers_[0]->Backward(*current, grad_in);  // nullptr passes through
 }
 
 bool Sequential::BindQuantizedWeight(const std::string& param_name,

@@ -153,7 +153,7 @@ double Trainer::Step(const Tensor& input, const std::vector<int>& labels) {
   net_->Forward(input, &logits_, /*train=*/true);
   double loss =
       SoftmaxCrossEntropy::ForwardBackward(logits_, labels, &grad_logits_);
-  net_->Backward(grad_logits_, &grad_input_);
+  net_->Backward(grad_logits_, /*grad_in=*/nullptr);
   for (std::size_t k = 0; k < params_.size(); ++k) {
     if (regs_[k] == nullptr) continue;
     regs_[k]->AccumulateGradient(*params_[k].value, iteration_, epoch_, scale,

@@ -197,7 +197,6 @@ class Trainer {
   // shape) and the shape key of the plan that sized them.
   Tensor logits_;
   Tensor grad_logits_;
-  Tensor grad_input_;
   ShapePlan step_plan_;
   std::int64_t iteration_ = 0;
   int epoch_ = 0;

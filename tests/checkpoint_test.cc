@@ -9,10 +9,12 @@
 // .prev fallback, the GMREG_FAULT spec parser, RNG stream capture, and the
 // GmRegularizer state round-trip.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -469,6 +471,48 @@ TEST(RegularizerStateTest, GmLoadStateRejectsBadPayloads) {
   ASSERT_TRUE(reg.SaveState(&state));
   EXPECT_EQ(reg.LoadState(state + " 1.0").code(),
             StatusCode::kInvalidArgument);
+}
+
+// A well-formed gmreg-state v3 record with `k` equally weighted components
+// and a zero greg over `dims` weights.
+std::string GmStateRecord(int k, std::int64_t dims) {
+  std::ostringstream oss;
+  oss.precision(17);
+  oss << "gmreg-state v3 " << k;
+  for (int j = 0; j < k; ++j) oss << " " << 1.0 / k;
+  for (int j = 0; j < k; ++j) oss << " " << 10.0 * (j + 1);
+  oss << " hyper 2 0.5";
+  for (int j = 0; j < k; ++j) oss << " 2";
+  oss << " counters 0 0 0 greg " << dims;
+  for (std::int64_t m = 0; m < dims; ++m) oss << " 0";
+  return oss.str();
+}
+
+TEST(RegularizerStateTest, GmLoadStateBoundsComponentCount) {
+  // The E- and M-steps keep one value per component on the stack, so a
+  // record above kMaxGmComponents must fail to load instead of aborting
+  // the next step.
+  const std::int64_t kDims = 24;
+  GmRegularizer reg("w", kDims, SmallGmOptions());
+  EXPECT_EQ(reg.LoadState(GmStateRecord(kMaxGmComponents + 1, kDims)).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(reg.mixture().num_components(), 3);
+
+  Status st = reg.LoadState(GmStateRecord(kMaxGmComponents, kDims));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(reg.mixture().num_components(), kMaxGmComponents);
+  Rng rng(43);
+  Tensor w({kDims});
+  for (std::int64_t m = 0; m < kDims; ++m) {
+    w[m] = static_cast<float>(rng.NextGaussian(0.0, 0.3));
+  }
+  Tensor grad({kDims});
+  reg.AccumulateGradient(w, /*iteration=*/0, /*epoch=*/0, 0.01, &grad);
+  EXPECT_EQ(reg.estep_count(), 1);
+  EXPECT_EQ(reg.mixture().num_components(), kMaxGmComponents);
+  for (std::int64_t m = 0; m < kDims; ++m) {
+    ASSERT_TRUE(std::isfinite(grad[m])) << "element " << m;
+  }
 }
 
 // --------------------------------------------------------------------------

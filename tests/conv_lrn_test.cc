@@ -2,7 +2,11 @@
 // training step. Conv2d runs each sample group as one im2col panel and one
 // GEMM per pass; its output and all three gradients are compared with a
 // direct nested-loop convolution at batch 17, which splits every shape
-// below into several groups, most of them with a short last one. Lrn takes
+// below into several groups, most of them with a short last one. im2col
+// and col2im copy and add output rows through a zero-padded plane, as runs
+// of 4-float moves at stride 1; the edge shapes reach rows shorter than one
+// move, rows whose last move overlaps, a stride larger than the padding
+// and a non-square plane. Lrn takes
 // window sums along contiguous rows and calls no pow in Backward; it is
 // checked against finite differences and against the per-element pow
 // formula it replaced.
@@ -30,13 +34,13 @@ using ::gmreg::testing::ScopedThreadBudget;
 constexpr std::int64_t kBatch = 17;
 
 struct ConvShape {
-  int in_c, out_c, kernel, stride, padding, hw;
+  int in_c, out_c, kernel, stride, padding, h, w;
 };
 
 // Alex-CIFAR-10's convs at its 16x16 input (models/alex_cifar10.cc).
-constexpr ConvShape kAlexConv1{3, 32, 5, 1, 2, 16};
-constexpr ConvShape kAlexConv2{32, 32, 5, 1, 2, 8};
-constexpr ConvShape kAlexConv3{32, 64, 5, 1, 2, 4};
+constexpr ConvShape kAlexConv1{3, 32, 5, 1, 2, 16, 16};
+constexpr ConvShape kAlexConv2{32, 32, 5, 1, 2, 8, 8};
+constexpr ConvShape kAlexConv3{32, 64, 5, 1, 2, 4, 4};
 
 // Double-precision results of the direct convolution, each with the sum of
 // the absolute values of its terms: float accumulation of those terms is
@@ -79,12 +83,12 @@ void CheckAgainstDirectConvolution(const ConvShape& s, std::uint64_t seed) {
   bias = RandomTensor(bias.shape(), &rng);
   for (const ParamRef& p : params) p.grad->SetZero();
 
-  Tensor in = RandomTensor({kBatch, s.in_c, s.hw, s.hw}, &rng);
+  Tensor in = RandomTensor({kBatch, s.in_c, s.h, s.w}, &rng);
   Tensor out;
   conv.Forward(in, &out, /*train=*/true);
-  std::int64_t ohw = conv.OutSize(s.hw);
-  ASSERT_EQ(out.shape(),
-            (std::vector<std::int64_t>{kBatch, s.out_c, ohw, ohw}));
+  std::int64_t oh = conv.OutSize(s.h);
+  std::int64_t ow = conv.OutSize(s.w);
+  ASSERT_EQ(out.shape(), (std::vector<std::int64_t>{kBatch, s.out_c, oh, ow}));
   Tensor gout = RandomTensor(out.shape(), &rng);
   Tensor gin;
   conv.Backward(gout, &gin);
@@ -96,21 +100,21 @@ void CheckAgainstDirectConvolution(const ConvShape& s, std::uint64_t seed) {
   Reference want_gin(in.size());
   for (std::int64_t i = 0; i < kBatch; ++i) {
     for (std::int64_t co = 0; co < s.out_c; ++co) {
-      for (std::int64_t y = 0; y < ohw; ++y) {
-        for (std::int64_t x = 0; x < ohw; ++x) {
-          std::int64_t o = ((i * s.out_c + co) * ohw + y) * ohw + x;
+      for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t x = 0; x < ow; ++x) {
+          std::int64_t o = ((i * s.out_c + co) * oh + y) * ow + x;
           double g = gout[o];
           want_out.Add(o, bias[co]);
           want_bgrad.Add(co, g);
           for (std::int64_t ci = 0; ci < s.in_c; ++ci) {
             for (std::int64_t kh = 0; kh < k; ++kh) {
               std::int64_t ih = y * s.stride - s.padding + kh;
-              if (ih < 0 || ih >= s.hw) continue;
+              if (ih < 0 || ih >= s.h) continue;
               for (std::int64_t kw = 0; kw < k; ++kw) {
                 std::int64_t iw = x * s.stride - s.padding + kw;
-                if (iw < 0 || iw >= s.hw) continue;
+                if (iw < 0 || iw >= s.w) continue;
                 std::int64_t wi = co * s.in_c * k * k + (ci * k + kh) * k + kw;
-                std::int64_t xi = ((i * s.in_c + ci) * s.hw + ih) * s.hw + iw;
+                std::int64_t xi = ((i * s.in_c + ci) * s.h + ih) * s.w + iw;
                 want_out.Add(o, static_cast<double>(weight[wi]) * in[xi]);
                 want_wgrad.Add(wi, g * in[xi]);
                 want_gin.Add(xi, g * weight[wi]);
@@ -141,13 +145,44 @@ TEST(ConvReferenceTest, AlexConv3MatchesDirectConvolution) {
 
 TEST(ConvReferenceTest, Stride2MatchesDirectConvolution) {
   // Odd extent, so the last window of each row hangs over the padding.
-  CheckAgainstDirectConvolution({8, 8, 3, 2, 1, 31}, 4);
+  CheckAgainstDirectConvolution({8, 8, 3, 2, 1, 31, 31}, 4);
 }
 
 TEST(ConvReferenceTest, PointwiseMatchesDirectConvolution) {
   // 1x1 with more output than input channels: the [Cout, g*cols] rows, not
   // the panel, bound the group.
-  CheckAgainstDirectConvolution({16, 24, 1, 1, 0, 16}, 5);
+  CheckAgainstDirectConvolution({16, 24, 1, 1, 0, 16, 16}, 5);
+}
+
+TEST(ConvReferenceTest, OutWidth2MatchesDirectConvolution) {
+  // Output rows of 2 floats, shorter than one 4-float move; the input rows
+  // copied into the plane are as short.
+  CheckAgainstDirectConvolution({4, 5, 3, 1, 1, 5, 2}, 7);
+}
+
+TEST(ConvReferenceTest, OutWidth3MatchesDirectConvolution) {
+  CheckAgainstDirectConvolution({3, 4, 3, 1, 0, 5, 5}, 8);
+}
+
+TEST(ConvReferenceTest, OutWidth6MatchesDirectConvolution) {
+  // The second 4-float move of each row overlaps the first by two floats.
+  CheckAgainstDirectConvolution({2, 6, 3, 1, 1, 6, 6}, 9);
+}
+
+TEST(ConvReferenceTest, OutWidth7MatchesDirectConvolution) {
+  CheckAgainstDirectConvolution({3, 5, 5, 1, 2, 7, 7}, 10);
+}
+
+TEST(ConvReferenceTest, Stride3Kernel4NoPaddingMatchesDirectConvolution) {
+  // Windows skip input columns, and the last column of each row is read
+  // by no window.
+  CheckAgainstDirectConvolution({4, 6, 4, 3, 0, 13, 13}, 11);
+}
+
+TEST(ConvReferenceTest, NonSquareInputMatchesDirectConvolution) {
+  // 7x10: swapping the plane's row and column extents reads the wrong
+  // pixels.
+  CheckAgainstDirectConvolution({3, 4, 3, 1, 1, 7, 10}, 12);
 }
 
 TEST(ConvReferenceTest, GradientAccumulatesAcrossBackwardCalls) {

@@ -133,6 +133,19 @@ TEST(SuffStatCodecTest, RejectsMalformedRecords) {
       StatusCode::kInvalidArgument);
 }
 
+TEST(SuffStatCodecTest, BoundsComponentCount) {
+  GmSuffStats stats;
+  stats.Reset(kMaxGmComponents);
+  stats.count = 7;
+  GmSuffStats out;
+  Status st = DecodeGmSuffStats(EncodeGmSuffStats(stats), &out);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(out.resp_sum.size(), static_cast<std::size_t>(kMaxGmComponents));
+  stats.Reset(kMaxGmComponents + 1);
+  EXPECT_EQ(DecodeGmSuffStats(EncodeGmSuffStats(stats), &out).code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST(SuffStatCodecTest, MergeRejectsComponentCountMismatch) {
   GmSuffStats three;
   three.Reset(3);
@@ -177,6 +190,26 @@ TEST(WireMessageTest, GradMessagesRoundTripExactFloats) {
   EXPECT_EQ(Bits(reply2.loss), Bits(reply.loss));
   ASSERT_EQ(reply2.grads.size(), 2u);
   EXPECT_EQ(Bits(reply2.grads[0][0]), Bits(reply.grads[0][0]));
+}
+
+TEST(WireMessageTest, EStepRequestBoundsComponentCount) {
+  // The worker runs the request's mixture through the E-step, which holds
+  // one value per component on the stack.
+  EStepRequestMsg request;
+  request.want_greg = true;
+  request.w = {0.5f};
+  for (int k : {kMaxGmComponents, kMaxGmComponents + 1}) {
+    request.pi.assign(static_cast<std::size_t>(k), 1.0 / k);
+    request.lambda.assign(static_cast<std::size_t>(k), 4.0);
+    EStepRequestMsg decoded;
+    Status st = EStepRequestMsg::Decode(request.Encode(), &decoded);
+    if (k <= kMaxGmComponents) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(decoded.pi.size(), static_cast<std::size_t>(k));
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
+    }
+  }
 }
 
 TEST(WireMessageTest, EStepMessagesRoundTrip) {

@@ -90,6 +90,7 @@ TEST(FactoryNegativeTest, NormFamilyBadValues) {
 TEST(FactoryNegativeTest, GmBadValues) {
   EXPECT_EQ(TryMake("gm:k=0").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(TryMake("gm:k=65").code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(TryMake("gm:k=64").ok());
   EXPECT_EQ(TryMake("gm:init=banana").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(TryMake("gm:gamma=-1").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(TryMake("gm:im=0").code(), StatusCode::kOutOfRange);

@@ -493,9 +493,10 @@ struct ConvPass {
   std::vector<float> grad_in;
 };
 
-// Batch 17 splits both layers into several groups: the 3->5 layer into
+// Batch 17 splits every layer into several groups: the 3->5 layer into
 // groups of 3-4 samples, the wider 16->32 one, with larger GEMMs, into one
-// group per sample.
+// group per sample. The 4->6 layer's 6-float output rows end in an
+// overlapping 4-float move.
 ConvPass RunConvAtBudget(int budget, int in_c, int out_c, std::int64_t hw) {
   SetDefaultNumThreads(budget);
   Rng rng(0xFEED);
@@ -529,7 +530,8 @@ TEST(ConvBackwardDeterminismTest, BitIdenticalAcrossThreadBudgets) {
     int in_c, out_c;
     std::int64_t hw;
   };
-  for (const Shape& layer : {Shape{3, 5, 24}, Shape{16, 32, 16}}) {
+  for (const Shape& layer :
+       {Shape{3, 5, 24}, Shape{16, 32, 16}, Shape{4, 6, 6}}) {
     SCOPED_TRACE("in_c=" + std::to_string(layer.in_c));
     ConvPass serial = RunConvAtBudget(1, layer.in_c, layer.out_c, layer.hw);
     ASSERT_FALSE(serial.weight_grad.empty());

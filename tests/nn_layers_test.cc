@@ -16,6 +16,7 @@ namespace gmreg {
 namespace {
 
 using ::gmreg::testing::CheckLayerGradients;
+using ::gmreg::testing::ExpectTensorBitwiseEqual;
 using ::gmreg::testing::RandomTensor;
 
 // Random values bounded away from zero (ReLU kink) by `margin`.
@@ -336,6 +337,108 @@ TEST(SoftmaxCrossEntropyTest, NumericallyStableAtExtremeLogits) {
   double loss = SoftmaxCrossEntropy::ForwardBackward(logits, labels, &grad);
   EXPECT_TRUE(std::isfinite(loss));
   EXPECT_NEAR(loss, 0.0, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Backward(grad_out, nullptr): the caller will not read d(loss)/d(input).
+// The layer must still accumulate its parameter gradients bit for bit as
+// with a non-null grad_in.
+
+void ExpectNullGradInKeepsParamGrads(Layer* layer, const Tensor& in,
+                                     Rng* rng) {
+  Tensor out;
+  layer->Forward(in, &out, /*train=*/true);
+  Tensor gout = RandomTensor(out.shape(), rng);
+  std::vector<ParamRef> params;
+  layer->CollectParams(&params);
+  for (const ParamRef& p : params) p.grad->SetZero();
+  Tensor gin;
+  layer->Backward(gout, &gin);
+  EXPECT_EQ(gin.shape(), in.shape());
+  std::vector<Tensor> with_gin;
+  for (const ParamRef& p : params) with_gin.push_back(*p.grad);
+  for (const ParamRef& p : params) p.grad->SetZero();
+  layer->Backward(gout, nullptr);
+  for (std::size_t j = 0; j < params.size(); ++j) {
+    ExpectTensorBitwiseEqual(with_gin[j], *params[j].grad, params[j].name);
+  }
+}
+
+TEST(NullGradInTest, Conv2d) {
+  Rng rng(31);
+  Conv2d conv("conv", 3, 4, 3, 2, 1, InitSpec::Gaussian(0.3), &rng);
+  ExpectNullGradInKeepsParamGrads(&conv, RandomTensor({5, 3, 7, 6}, &rng),
+                                  &rng);
+}
+
+TEST(NullGradInTest, Dense) {
+  Rng rng(32);
+  Dense dense("fc", 6, 4, InitSpec::Gaussian(0.3), &rng);
+  ExpectNullGradInKeepsParamGrads(&dense, RandomTensor({3, 6}, &rng), &rng);
+}
+
+TEST(NullGradInTest, BatchNorm2d) {
+  Rng rng(33);
+  BatchNorm2d bn("bn", 3);
+  ExpectNullGradInKeepsParamGrads(&bn, RandomTensor({4, 3, 3, 3}, &rng),
+                                  &rng);
+}
+
+TEST(NullGradInTest, LayersWithoutParameters) {
+  Rng rng(34);
+  Relu relu("relu");
+  Lrn lrn("lrn", 3, 5e-2, 0.75, 1.0);
+  MaxPool2d max_pool("max", 3, 2);
+  AvgPool2d avg_pool("avg", 3, 2);
+  GlobalAvgPool global_pool("gap");
+  Flatten flatten("flat");
+  for (Layer* layer : std::initializer_list<Layer*>{
+           &relu, &lrn, &max_pool, &avg_pool, &global_pool, &flatten}) {
+    SCOPED_TRACE(layer->name());
+    ExpectNullGradInKeepsParamGrads(layer, RandomTensor({2, 4, 5, 5}, &rng),
+                                    &rng);
+  }
+}
+
+TEST(NullGradInTest, Sequential) {
+  // The first layer, a conv, receives the nullptr.
+  Rng rng(35);
+  Sequential seq("net");
+  seq.Emplace<Conv2d>("c1", 2, 4, 3, 1, 1, InitSpec::Gaussian(0.3), &rng);
+  seq.Emplace<BatchNorm2d>("bn", 4);
+  seq.Emplace<Relu>("relu");
+  seq.Emplace<MaxPool2d>("pool", 2, 2);
+  seq.Emplace<Flatten>("flat");
+  seq.Emplace<Dense>("fc", 4 * 3 * 3, 3, InitSpec::Gaussian(0.3), &rng);
+  ExpectNullGradInKeepsParamGrads(&seq, RandomTensor({3, 2, 6, 6}, &rng),
+                                  &rng);
+}
+
+TEST(NullGradInTest, ResidualIdentityShortcut) {
+  Rng rng(36);
+  auto main = std::make_unique<Sequential>("m");
+  main->Emplace<Conv2d>("c1", 2, 2, 3, 1, 1, InitSpec::Gaussian(0.3), &rng);
+  main->Emplace<BatchNorm2d>("bn", 2);
+  main->Emplace<Relu>("r");
+  main->Emplace<Conv2d>("c2", 2, 2, 3, 1, 1, InitSpec::Gaussian(0.3), &rng);
+  Residual block("res", std::move(main), nullptr);
+  ExpectNullGradInKeepsParamGrads(&block, RandomTensor({2, 2, 4, 4}, &rng),
+                                  &rng);
+}
+
+TEST(NullGradInTest, ResidualProjectionShortcut) {
+  Rng rng(37);
+  auto main = std::make_unique<Sequential>("m");
+  main->Emplace<Conv2d>("c1", 2, 4, 3, 2, 1, InitSpec::Gaussian(0.3), &rng);
+  main->Emplace<Relu>("r");
+  main->Emplace<Conv2d>("c2", 4, 4, 3, 1, 1, InitSpec::Gaussian(0.3), &rng);
+  auto shortcut = std::make_unique<Sequential>("s");
+  shortcut->Emplace<Conv2d>("cp", 2, 4, 3, 2, 1, InitSpec::Gaussian(0.3),
+                            &rng);
+  shortcut->Emplace<BatchNorm2d>("bnp", 4);
+  Residual block("res", std::move(main), std::move(shortcut));
+  ExpectNullGradInKeepsParamGrads(&block, RandomTensor({2, 2, 4, 4}, &rng),
+                                  &rng);
 }
 
 TEST(AccuracyTest, CountsArgmaxMatches) {

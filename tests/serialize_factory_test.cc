@@ -1,5 +1,7 @@
 #include <cmath>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "core/factory.h"
 #include "core/gm_regularizer.h"
@@ -36,6 +38,26 @@ TEST(SerializeTest, RejectsMalformedInput) {
             StatusCode::kInvalidArgument);  // truncated lambda
   EXPECT_EQ(DeserializeMixture("gm v1 2 0.5", &out).code(),
             StatusCode::kInvalidArgument);  // truncated pi
+}
+
+// A "gm v1" record with `k` equally weighted components.
+std::string MixtureRecord(int k) {
+  std::ostringstream oss;
+  oss << "gm v1 " << k;
+  for (int j = 0; j < k; ++j) oss << " 1";
+  for (int j = 0; j < k; ++j) oss << " " << j + 1;
+  return oss.str();
+}
+
+TEST(SerializeTest, BoundsComponentCount) {
+  GaussianMixture out({1.0}, {1.0});
+  Status st = DeserializeMixture(MixtureRecord(kMaxGmComponents), &out);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(out.num_components(), kMaxGmComponents);
+  EXPECT_EQ(DeserializeMixture(MixtureRecord(kMaxGmComponents + 1), &out)
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(out.num_components(), kMaxGmComponents);
 }
 
 TEST(SerializeTest, RejectsTrailingGarbage) {
