@@ -4,11 +4,12 @@
 // compared against, and the GEMM that dominates the network substrate.
 //
 // Custom main: before the google-benchmark suite runs, a fixed GEMM sweep
-// times the packed kernel against a naive scalar baseline at 1 thread, and
-// a conv sweep times Alex-CIFAR-10's conv layers beside a GEMM of each
-// layer's shape; both write BENCH_kernels.json (GFLOP/s + speedup per
-// shape) — the record CI archives on every run. Passing --benchmark_filter
-// that matches nothing runs just the sweeps.
+// times the packed kernel against a naive scalar baseline at 1 thread, a
+// conv sweep times Alex-CIFAR-10's conv layers beside a GEMM of each
+// layer's shape, and an E-step sweep times one pass over alex-16's weights
+// per K; all write BENCH_kernels.json (GFLOP/s + speedup per shape, M
+// weights/s per K) — the record CI archives on every run. Passing
+// --benchmark_filter that matches nothing runs just the sweeps.
 
 #include <benchmark/benchmark.h>
 
@@ -343,9 +344,48 @@ void RunConvSweep(double min_seconds, bench::JsonSummary* summary) {
   std::printf("\n");
 }
 
-// Times the packed Gemm and the baseline on the standard shapes, and the
-// conv layers, at a 1-thread budget, then the GEMM at budgets 1/2/4/8, and
-// writes BENCH_kernels.json.
+// The E-step kernel: the best time of one greg-plus-suffstats pass over
+// alex-16's 81,760 weights at the caller's budget, in M weights/s, for
+// K = 1/2/4/8 on the active tier and K = 4 on the forced scalar tier.
+void RunEStepSweep(double min_seconds, bench::JsonSummary* summary) {
+  const std::int64_t n = 81760;
+  Tensor w = MakeWeights(n);
+  Tensor greg({n});
+  GmSuffStats stats;
+  auto rate = [&](int k) {
+    GaussianMixture gm =
+        GaussianMixture::Initialize(k, GmInitMethod::kLinear, 10.0);
+    double secs = BestTimePerCall(
+        [&] {
+          stats.Reset(k);
+          EStep(gm, w.data(), n, greg.data(), &stats);
+        },
+        min_seconds);
+    return static_cast<double>(n) / secs / 1e6;
+  };
+  std::printf("E-step pass, greg + suffstats over %lld weights\n",
+              static_cast<long long>(n));
+  std::printf("%-32s %12s\n", "key", "M weights/s");
+  for (int k : {1, 2, 4, 8}) {
+    std::string key = StrFormat("estep.k%d.mweights_per_s", k);
+    double mw = rate(k);
+    std::printf("%-32s %12.1f  (kernel=%s)\n", key.c_str(), mw,
+                GetKernelOps().name);
+    summary->Add(key, mw);
+  }
+  if (internal::ForceKernelTierForTesting(KernelTier::kScalar)) {
+    double mw = rate(4);
+    std::printf("%-32s %12.1f  (kernel=%s)\n",
+                "estep.k4.scalar.mweights_per_s", mw, GetKernelOps().name);
+    summary->Add("estep.k4.scalar.mweights_per_s", mw);
+    internal::ClearKernelTierForTesting();
+  }
+  std::printf("\n");
+}
+
+// Times the packed Gemm and the baseline on the standard shapes, the conv
+// layers and the E-step at a 1-thread budget, then the GEMM at budgets
+// 1/2/4/8, and writes BENCH_kernels.json.
 void RunKernelSweep() {
   SetDefaultNumThreads(1);
   bench::JsonSummary summary("kernels", "synthetic-gemm-sweep");
@@ -395,6 +435,7 @@ void RunKernelSweep() {
   }
   std::printf("\n");
   RunConvSweep(min_seconds, &summary);
+  RunEStepSweep(min_seconds, &summary);
 
   // Thread-scaling sweep of the 2D work-queue GEMM: budgets 1/2/4/8 per
   // shape, speedup vs the same packed kernel at budget 1. The mtN.speedup

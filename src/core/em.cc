@@ -1,8 +1,8 @@
 #include "core/em.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "tensor/gemm_kernel.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -25,108 +25,31 @@ void GmSuffStats::Merge(const GmSuffStats& other) {
 
 namespace {
 
-// K-specialized E-step kernel: the mixture parameters are hoisted into
-// fixed-size locals and every k loop has a compile-time trip count KK, so
-// the compiler fully unrolls and vectorizes the responsibility softmax.
-// The arithmetic replicates GaussianMixture::Responsibilities() expression
-// for expression — same operations in the same order, so this path is
-// bitwise identical to the generic one below (tests/em_test.cc relies on
-// the E-step's determinism contract, docs/KERNELS.md).
-template <int KK, typename T>
-void EStepFixedK(const GaussianMixture& gm, const T* w, std::int64_t n,
-                 T* greg_out, double* resp_sum, double* resp_w2_sum) {
-  double lc[KK];
-  double lam[KK];
-  const std::vector<double>& log_coef = gm.log_coef();
-  const std::vector<double>& lambda = gm.lambda();
-  for (int k = 0; k < KK; ++k) {
-    auto ks = static_cast<std::size_t>(k);
-    lc[k] = log_coef[ks];
-    lam[k] = lambda[ks];
-  }
-  for (std::int64_t m = 0; m < n; ++m) {
-    double x = static_cast<double>(w[m]);
-    double r[KK];
-    double best = -1e300;
-    for (int k = 0; k < KK; ++k) {
-      r[k] = lc[k] - 0.5 * lam[k] * x * x;
-      best = std::max(best, r[k]);
-    }
-    double denom = 0.0;
-    for (int k = 0; k < KK; ++k) {
-      r[k] = std::exp(r[k] - best);
-      denom += r[k];
-    }
-    for (int k = 0; k < KK; ++k) r[k] /= denom;
-    if (greg_out != nullptr) {
-      double acc = 0.0;
-      for (int k = 0; k < KK; ++k) acc += r[k] * lam[k];
-      greg_out[m] = static_cast<T>(acc * x);
-    }
-    if (resp_sum != nullptr) {
-      for (int k = 0; k < KK; ++k) {
-        resp_sum[k] += r[k];
-        resp_w2_sum[k] += r[k] * x * x;
-      }
-    }
-  }
-}
+static_assert(kMaxGmComponents <= kEStepMaxComponents);
 
-// Shared E-step kernel over either float or double input: writes greg_out
-// (unless null) and adds the responsibilities into resp_sum / resp_w2_sum
-// (unless null). K is small (<= 8 in practice), so responsibilities live in
-// a fixed-size stack buffer; the common component counts dispatch to the
-// unrolled EStepFixedK variants.
-template <typename T>
-void EStepImpl(const GaussianMixture& gm, const T* w, std::int64_t n,
-               T* greg_out, double* resp_sum, double* resp_w2_sum) {
-  int kk = gm.num_components();
-  switch (kk) {
-    case 1:
-      return EStepFixedK<1>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
-    case 2:
-      return EStepFixedK<2>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
-    case 3:
-      return EStepFixedK<3>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
-    case 4:
-      return EStepFixedK<4>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
-    case 8:
-      return EStepFixedK<8>(gm, w, n, greg_out, resp_sum, resp_w2_sum);
-    default:
-      break;
-  }
-  const std::vector<double>& lambda = gm.lambda();
-  double r[kMaxGmComponents];
-  for (std::int64_t m = 0; m < n; ++m) {
-    double x = static_cast<double>(w[m]);
-    gm.Responsibilities(x, r);
-    if (greg_out != nullptr) {
-      double acc = 0.0;
-      for (int k = 0; k < kk; ++k) acc += r[k] * lambda[static_cast<std::size_t>(k)];
-      greg_out[m] = static_cast<T>(acc * x);
-    }
-    if (resp_sum != nullptr) {
-      for (int k = 0; k < kk; ++k) {
-        resp_sum[k] += r[k];
-        resp_w2_sum[k] += r[k] * x * x;
-      }
-    }
-  }
-}
+// The active tier's E-step kernel for each weight type (KernelOps,
+// tensor/estep_kernel.h). Every tier gives the same bits.
+auto EStepKernelFor(const float*) { return GetKernelOps().estep_f32; }
+auto EStepKernelFor(const double*) { return GetKernelOps().estep_f64; }
 
 // greg alone is elementwise, so any split gives the same bits; the
-// statistics are summed per fixed chunk and added in chunk order.
+// statistics are summed per fixed chunk (one kernel call each, which folds
+// its 8 lane sums into the chunk's partial) and added in chunk order.
 template <typename T>
 void EStepDispatch(const GaussianMixture& gm, const T* w, std::int64_t n,
                    T* greg_out, GmSuffStats* stats, int num_threads) {
   int kk = gm.num_components();
   GMREG_CHECK_LE(kk, kMaxGmComponents);
+  const auto kernel = EStepKernelFor(w);
+  const double* log_coef = gm.log_coef().data();
+  const double* lambda = gm.lambda().data();
   if (stats == nullptr) {
     if (greg_out == nullptr) return;
     ParallelFor(
         0, n, kChunkGrain,
         [&](std::int64_t b, std::int64_t e) {
-          EStepImpl(gm, w + b, e - b, greg_out + b, nullptr, nullptr);
+          kernel(e - b, w + b, kk, log_coef, lambda, greg_out + b, nullptr,
+                 nullptr);
         },
         num_threads);
     return;
@@ -137,9 +60,9 @@ void EStepDispatch(const GaussianMixture& gm, const T* w, std::int64_t n,
   ParallelChunkedSum(
       0, n, 2 * kk,
       [&](std::int64_t b, std::int64_t e, double* partial) {
-        EStepImpl(gm, w + b, e - b,
-                  greg_out == nullptr ? nullptr : greg_out + b, partial,
-                  partial + kk);
+        kernel(e - b, w + b, kk, log_coef, lambda,
+               greg_out == nullptr ? nullptr : greg_out + b, partial,
+               partial + kk);
       },
       sums, num_threads);
   for (int k = 0; k < kk; ++k) {
@@ -168,7 +91,7 @@ void MStep(const GmSuffStats& stats, const GmHyperParams& hyper,
   GMREG_CHECK_EQ(static_cast<int>(stats.resp_sum.size()), kk);
   GMREG_CHECK_EQ(static_cast<int>(hyper.alpha.size()), kk);
   GMREG_CHECK_GT(stats.count, 0);
-  // K <= kMaxGmComponents everywhere (EStepImpl enforces it), so the
+  // K <= kMaxGmComponents everywhere (EStepDispatch enforces it), so the
   // updated parameters fit on the stack and the per-step M-step stays
   // allocation-free; the arithmetic below is unchanged from the vector
   // version.

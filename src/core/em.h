@@ -39,11 +39,15 @@ struct GmBounds {
 ///    (Eq. 10) into greg_out[m];
 ///  * if `stats` != nullptr, accumulates the sufficient statistics.
 ///
-/// The pass runs on up to `num_threads` threads (<= 0 picks the
-/// GMREG_NUM_THREADS / hardware default, see util/parallel.h). greg_out is
-/// elementwise, and the statistics are summed per fixed kChunkGrain chunk
-/// and added in chunk order (ParallelChunkedSum), so both outputs are
-/// bitwise identical at every budget.
+/// The arithmetic is the active kernel tier's E-step kernel
+/// (KernelOps::estep_f32 / estep_f64, tensor/estep_kernel.h): double
+/// precision over vectors of weights, with its own exp (within 1 ulp of
+/// libm's), and the same bits on every tier. The pass runs on up to
+/// `num_threads` threads (<= 0 picks the GMREG_NUM_THREADS / hardware
+/// default, see util/parallel.h). greg_out is elementwise, and the
+/// statistics are summed per fixed kChunkGrain chunk (8 lane partial sums
+/// inside it) and added in chunk order (ParallelChunkedSum), so both
+/// outputs are bitwise identical at every budget and tier.
 void EStep(const GaussianMixture& gm, const float* w, std::int64_t n,
            float* greg_out, GmSuffStats* stats, int num_threads = 0);
 

@@ -165,16 +165,10 @@ void GaussianMixture::Responsibilities(double x, double* r) const {
 double GaussianMixture::RegGradient(double x) const {
   std::size_t kk = pi_.size();
   if (kk == 1) return lambda_[0] * x;
-  double r[16];
-  std::vector<double> heap;
-  double* rp = r;
-  if (kk > 16) {
-    heap.resize(kk);
-    rp = heap.data();
-  }
-  Responsibilities(x, rp);
+  double r[kMaxGmComponents];
+  Responsibilities(x, r);
   double acc = 0.0;
-  for (std::size_t k = 0; k < kk; ++k) acc += rp[k] * lambda_[k];
+  for (std::size_t k = 0; k < kk; ++k) acc += r[k] * lambda_[k];
   return acc * x;
 }
 

@@ -21,9 +21,10 @@ GmInitMethod ParseGmInitMethod(const std::string& name);
 const char* GmInitMethodName(GmInitMethod method);
 
 /// Most components a mixture may have. The E- and M-steps keep one value
-/// per component on the stack (core/em.cc); the factory and every parser
-/// of a mixture, a gmreg-state record, suffstats or an E-step request
-/// return OutOfRange above it.
+/// per component on the stack (core/em.cc; the E-step kernel,
+/// tensor/estep_kernel.h, up to kEStepMaxComponents); the factory and
+/// every parser of a mixture, a gmreg-state record, suffstats or an E-step
+/// request return OutOfRange above it.
 inline constexpr int kMaxGmComponents = 64;
 
 /// Zero-mean one-dimensional Gaussian mixture
@@ -56,9 +57,9 @@ class GaussianMixture {
   const std::vector<double>& lambda() const { return lambda_; }
 
   /// Cached log(pi_k) + 0.5*log(lambda_k) — the x-independent part of the
-  /// component log-densities. Exposed so the K-specialized E-step kernels
-  /// (core/em.cc) can replicate Responsibilities() without a per-element
-  /// call through the generic loop.
+  /// component log-densities. Exposed for the E-step kernel
+  /// (KernelOps::estep_f32, called from core/em.cc), which computes the
+  /// same log-space softmax as Responsibilities() over vectors of weights.
   const std::vector<double>& log_coef() const { return log_coef_; }
 
   /// Replaces the parameters (revalidates; renormalizes pi).
@@ -78,7 +79,8 @@ class GaussianMixture {
   double LogDensity(double x) const;
 
   /// Responsibilities r_k(x) (paper Eq. 9) into r[0..K). Numerically
-  /// stable (log-space softmax).
+  /// stable (log-space softmax). Uses libm's exp; the E-step kernel uses
+  /// its own and is tested against this one to a few ulps.
   void Responsibilities(double x, double* r) const;
 
   /// d(-log p(x))/dx = sum_k r_k(x) * lambda_k * x — the per-dimension

@@ -122,6 +122,8 @@ constexpr KernelOps kScalarOps = {
     RowSumsAccumScalar,
     ReluForwardScalar,
     ReluBackwardScalar,
+    internal::EStepScalarF32,
+    internal::EStepScalarF64,
 };
 
 // ---------------------------------------------------------------------------

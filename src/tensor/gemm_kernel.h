@@ -14,6 +14,9 @@ inline constexpr std::int64_t kGemmSmallFlops = 1 << 14;
 inline constexpr std::int64_t kGemmMaxMR = 14;
 inline constexpr std::int64_t kGemmMaxNR = 32;
 
+/// Most mixture components the E-step kernel takes (KernelOps::estep_f32).
+inline constexpr int kEStepMaxComponents = 64;
+
 /// Kernel tier identity, in strictly increasing capability order. The env
 /// override GMREG_SIMD=scalar|avx2|avx512 selects a ceiling: the dispatcher
 /// uses the best *supported* tier at or below it (docs/KERNELS.md).
@@ -84,6 +87,23 @@ struct KernelOps {
   /// gin[i] = mask[i] ? gout[i] : 0.
   void (*relu_backward)(std::int64_t n, const float* gout,
                         const unsigned char* mask, float* gin);
+
+  /// One E-step pass (paper Eqs. 9-10) over w[0..n), in double precision,
+  /// for the zero-mean mixture with log_coef[k] = log(pi_k) +
+  /// log(lambda_k)/2 and precisions lambda[k], k < kk <=
+  /// kEStepMaxComponents. Unless greg is null, writes
+  /// greg[m] = sum_k r_k(w_m) lambda_k w_m. Unless resp_sum is null, adds
+  /// sum_m r_k(w_m) into resp_sum[k] and sum_m r_k(w_m) w_m^2 into
+  /// resp_w2_sum[k]. Unlike the entries above, every tier gives the same
+  /// bits (tensor/estep_kernel.h, docs/KERNELS.md).
+  void (*estep_f32)(std::int64_t n, const float* w, int kk,
+                    const double* log_coef, const double* lambda, float* greg,
+                    double* resp_sum, double* resp_w2_sum);
+
+  /// estep_f32 over double weights and greg.
+  void (*estep_f64)(std::int64_t n, const double* w, int kk,
+                    const double* log_coef, const double* lambda,
+                    double* greg, double* resp_sum, double* resp_w2_sum);
 };
 
 /// The active kernel table: the best tier that was compiled in (GMREG_SIMD
@@ -106,6 +126,29 @@ const KernelOps* GetAvx2KernelOpsOrNull();
 /// The AVX-512 table, or nullptr when not compiled in / not supported by
 /// this CPU. Defined by gemm_kernel_avx512.cc.
 const KernelOps* GetAvx512KernelOpsOrNull();
+
+/// The E-step kernel's instances for the three tables (KernelOps::estep_f32
+/// and estep_f64), one translation unit per tier: estep_kernel_scalar.cc,
+/// and estep_kernel_avx2.cc / estep_kernel_avx512.cc, which define theirs
+/// only when that tier is compiled in.
+void EStepScalarF32(std::int64_t n, const float* w, int kk,
+                    const double* log_coef, const double* lambda, float* greg,
+                    double* resp_sum, double* resp_w2_sum);
+void EStepScalarF64(std::int64_t n, const double* w, int kk,
+                    const double* log_coef, const double* lambda,
+                    double* greg, double* resp_sum, double* resp_w2_sum);
+void EStepAvx2F32(std::int64_t n, const float* w, int kk,
+                  const double* log_coef, const double* lambda, float* greg,
+                  double* resp_sum, double* resp_w2_sum);
+void EStepAvx2F64(std::int64_t n, const double* w, int kk,
+                  const double* log_coef, const double* lambda, double* greg,
+                  double* resp_sum, double* resp_w2_sum);
+void EStepAvx512F32(std::int64_t n, const float* w, int kk,
+                    const double* log_coef, const double* lambda, float* greg,
+                    double* resp_sum, double* resp_w2_sum);
+void EStepAvx512F64(std::int64_t n, const double* w, int kk,
+                    const double* log_coef, const double* lambda,
+                    double* greg, double* resp_sum, double* resp_w2_sum);
 
 /// Test hook: pins GetKernelOps() to one tier so a single binary can run
 /// the conformance battery per tier. Returns false (leaving the pin

@@ -162,6 +162,8 @@ constexpr KernelOps kAvx512Ops = {
     RowSumsAccumAvx512,
     ReluForwardAvx512,
     ReluBackwardAvx512,
+    internal::EStepAvx512F32,
+    internal::EStepAvx512F64,
 };
 
 }  // namespace

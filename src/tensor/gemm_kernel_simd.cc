@@ -162,6 +162,8 @@ constexpr KernelOps kAvx2Ops = {
     RowSumsAccumAvx2,
     ReluForwardAvx2,
     ReluBackwardAvx2,
+    internal::EStepAvx2F32,
+    internal::EStepAvx2F64,
 };
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/em.h"
@@ -554,41 +555,202 @@ TEST(ConvBackwardDeterminismTest, BitIdenticalAcrossThreadBudgets) {
   }
 }
 
-// The K-specialized E-step kernels must be bitwise identical to the generic
-// Responsibilities() loop; K = 5 takes the generic path and serves as the
-// contract's control, K in {1, 2, 3, 4, 8} take the unrolled kernels.
+// ---------------------------------------------------------------------------
+// E-step kernel (KernelOps::estep_f32 / estep_f64): the same bits on every
+// tier, NaN for non-finite weights, and within a few ulps of the libm-based
+// GaussianMixture::Responsibilities().
+// ---------------------------------------------------------------------------
+
+// Zero-mean mixtures with K components: precisions spread over [1, 1e10]
+// (the heaviest ones drive the exp underflow path) and uniform pi.
+GaussianMixture SpreadMixture(int kk) {
+  std::vector<double> pi(static_cast<std::size_t>(kk), 1.0 / kk);
+  std::vector<double> lambda;
+  for (int k = 0; k < kk; ++k) {
+    lambda.push_back(kk == 1 ? 10.0 : std::pow(10.0, 10.0 * k / (kk - 1)));
+  }
+  return GaussianMixture(pi, lambda);
+}
+
+// Gaussian weights at two scales, with every 7th replaced by one of the
+// edge values: zeros, +-1e-30, +-the type's smallest denormal, +-1e3.
+template <typename T>
+std::vector<T> EStepWeights(std::int64_t n) {
+  const T denorm = std::numeric_limits<T>::denorm_min();
+  const T edges[] = {T(0),  T(-0.0), T(1e-30), T(-1e-30),
+                     denorm, -denorm, T(1e3),  T(-1e3)};
+  Rng rng(0xE57E9);
+  std::vector<T> w(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    double v = rng.NextBernoulli(0.8) ? rng.NextGaussian(0.0, 0.05)
+                                      : rng.NextGaussian(0.0, 0.8);
+    w[static_cast<std::size_t>(i)] =
+        i % 7 == 0 ? edges[(i / 7) % 8] : static_cast<T>(v);
+  }
+  return w;
+}
+
+template <typename T>
+struct EStepOut {
+  std::vector<T> greg;
+  GmSuffStats stats;
+};
+
+template <typename T>
+EStepOut<T> RunEStep(const GaussianMixture& gm, const std::vector<T>& w,
+                     int budget) {
+  EStepOut<T> out;
+  out.greg.assign(w.size(), T(-1));
+  out.stats.Reset(gm.num_components());
+  EStep(gm, w.data(), static_cast<std::int64_t>(w.size()), out.greg.data(),
+        &out.stats, budget);
+  return out;
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// Both overloads, on every compiled and supported tier, against the scalar
+// tier by memcmp: greg and both suffstats. The n cover empty, sub-block,
+// block-edge, chunk-edge (kChunkGrain) and alex-16 sizes.
+template <typename T>
+void ExpectSameBitsOnEveryTier(const GaussianMixture& gm) {
+  const int kk = gm.num_components();
+  for (std::int64_t n : {0, 1, 7, 8, 9, 4095, 4096, 4097, 81760}) {
+    SCOPED_TRACE("K=" + std::to_string(kk) + " n=" + std::to_string(n) +
+                 " bytes=" + std::to_string(sizeof(T)));
+    std::vector<T> w = EStepWeights<T>(n);
+    ASSERT_TRUE(internal::ForceKernelTierForTesting(KernelTier::kScalar));
+    EStepOut<T> want = RunEStep(gm, w, 1);
+    for (KernelTier tier :
+         {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+      if (!internal::ForceKernelTierForTesting(tier)) continue;
+      for (int budget : {1, 4}) {
+        EStepOut<T> got = RunEStep(gm, w, budget);
+        EXPECT_TRUE(SameBits(want.greg, got.greg))
+            << "greg tier=" << TierName(tier) << " budget=" << budget;
+        EXPECT_TRUE(SameBits(want.stats.resp_sum, got.stats.resp_sum))
+            << "resp_sum tier=" << TierName(tier) << " budget=" << budget;
+        EXPECT_TRUE(SameBits(want.stats.resp_w2_sum, got.stats.resp_w2_sum))
+            << "resp_w2_sum tier=" << TierName(tier)
+            << " budget=" << budget;
+      }
+    }
+  }
+}
+
+TEST(EStepKernelTest, SameBitsOnEveryTier) {
+  KernelEnvGuard guard;
+  std::vector<GaussianMixture> mixtures;
+  for (int kk : {1, 2, 3, 4, 5, 8, 64}) mixtures.push_back(SpreadMixture(kk));
+  // pi = 0 gives a component a log coefficient of about -1e300.
+  mixtures.push_back(
+      GaussianMixture::FromSerialized({0.5, 0.0, 0.5}, {1.0, 30.0, 900.0}));
+  for (const GaussianMixture& gm : mixtures) {
+    ExpectSameBitsOnEveryTier<float>(gm);
+    ExpectSameBitsOnEveryTier<double>(gm);
+  }
+  EStepOut<double> dead =
+      RunEStep(mixtures.back(), EStepWeights<double>(4097), 1);
+  EXPECT_EQ(dead.stats.resp_sum[1], 0.0);
+}
+
+template <typename T>
+void ExpectNanGregForNonFinite(KernelTier tier) {
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  std::vector<T> w = {T(0.5), nan, inf, T(-0.25), -inf, T(1.5), T(0), T(-2)};
+  w.push_back(nan);  // a tail-block lane
+  GaussianMixture gm = SpreadMixture(4);
+  EStepOut<T> out = RunEStep(gm, w, 1);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    if (std::isfinite(w[i])) {
+      EXPECT_TRUE(std::isfinite(out.greg[i]))
+          << "tier=" << TierName(tier) << " i=" << i;
+    } else {
+      EXPECT_TRUE(std::isnan(out.greg[i]))
+          << "tier=" << TierName(tier) << " i=" << i << " w=" << w[i];
+    }
+  }
+}
+
+TEST(EStepKernelTest, NonFiniteWeightsGiveNanGregOnEveryTier) {
+  KernelEnvGuard guard;
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!internal::ForceKernelTierForTesting(tier)) continue;
+    ExpectNanGregForNonFinite<float>(tier);
+    ExpectNanGregForNonFinite<double>(tier);
+  }
+}
+
+// Distance in units in the last place between two finite values of one
+// sign (0 when equal).
+template <typename T>
+std::int64_t UlpDistance(T a, T b) {
+  using Bits = std::conditional_t<sizeof(T) == 8, std::int64_t, std::int32_t>;
+  Bits ia = 0;
+  Bits ib = 0;
+  std::memcpy(&ia, &a, sizeof(a));
+  std::memcpy(&ib, &b, sizeof(b));
+  std::int64_t d = static_cast<std::int64_t>(ia) - ib;
+  return d < 0 ? -d : d;
+}
+
+// The kernel against the libm reference, GaussianMixture::Responsibilities():
+// the kernel's exp is its own (within 1 ulp of libm's) and it multiplies by
+// one reciprocal of the softmax denominator, so greg agrees to a few double
+// ulps and the suffstats, summed in lanes and chunks, to 1e-14 relative.
 TEST(EStepFixedKTest, MatchesResponsibilitiesBitwise) {
-  Rng rng(31);
-  const std::int64_t n = 2000;
-  std::vector<double> w(static_cast<std::size_t>(n));
-  for (double& x : w) x = rng.NextUniform(-2.0, 2.0);
-  for (int kk : {1, 2, 3, 4, 5, 8}) {
-    std::vector<double> pi(static_cast<std::size_t>(kk),
-                           1.0 / static_cast<double>(kk));
-    std::vector<double> lambda;
-    for (int k = 0; k < kk; ++k) lambda.push_back(std::pow(4.0, k));
-    GaussianMixture gm(pi, lambda);
-    std::vector<double> greg(static_cast<std::size_t>(n));
-    GmSuffStats stats;
-    stats.Reset(kk);
-    EStep(gm, w.data(), n, greg.data(), &stats, /*num_threads=*/1);
-    double r[64];
-    std::vector<double> want_resp(static_cast<std::size_t>(kk), 0.0);
+  const std::int64_t n = 4097;
+  std::vector<double> w = EStepWeights<double>(n);
+  std::vector<float> wf = EStepWeights<float>(n);
+  for (int kk : {1, 2, 3, 4, 5, 8, 64}) {
+    SCOPED_TRACE("K=" + std::to_string(kk));
+    GaussianMixture gm = SpreadMixture(kk);
+    const std::vector<double>& lambda = gm.lambda();
+    EStepOut<double> got = RunEStep(gm, w, 1);
+    EStepOut<float> got_f = RunEStep(gm, wf, 1);
+    double r[kMaxGmComponents];
+    std::vector<long double> want_r(static_cast<std::size_t>(kk), 0.0L);
+    std::vector<long double> want_rw2(static_cast<std::size_t>(kk), 0.0L);
     for (std::int64_t m = 0; m < n; ++m) {
-      double x = w[static_cast<std::size_t>(m)];
+      auto ms = static_cast<std::size_t>(m);
+      double x = w[ms];
       gm.Responsibilities(x, r);
       double acc = 0.0;
       for (int k = 0; k < kk; ++k) {
-        acc += r[k] * lambda[static_cast<std::size_t>(k)];
-        want_resp[static_cast<std::size_t>(k)] += r[k];
+        auto ks = static_cast<std::size_t>(k);
+        acc += r[k] * lambda[ks];
+        want_r[ks] += r[k];
+        want_rw2[ks] += static_cast<long double>(r[k]) * x * x;
       }
-      ASSERT_EQ(greg[static_cast<std::size_t>(m)], acc * x)
-          << "kk=" << kk << " m=" << m;
+      ASSERT_LE(UlpDistance(got.greg[ms], acc * x), 8)
+          << "m=" << m << " x=" << x << " got=" << got.greg[ms]
+          << " want=" << acc * x;
+      double xf = static_cast<double>(wf[ms]);
+      gm.Responsibilities(xf, r);
+      acc = 0.0;
+      for (int k = 0; k < kk; ++k) {
+        acc += r[k] * lambda[static_cast<std::size_t>(k)];
+      }
+      ASSERT_LE(UlpDistance(got_f.greg[ms], static_cast<float>(acc * xf)), 1)
+          << "float m=" << m;
     }
     for (int k = 0; k < kk; ++k) {
-      ASSERT_EQ(stats.resp_sum[static_cast<std::size_t>(k)],
-                want_resp[static_cast<std::size_t>(k)])
-          << "kk=" << kk << " k=" << k;
+      auto ks = static_cast<std::size_t>(k);
+      double tol_r = 1e-14 * static_cast<double>(want_r[ks]) + 1e-300;
+      double tol_rw2 = 1e-14 * static_cast<double>(want_rw2[ks]) + 1e-300;
+      EXPECT_NEAR(got.stats.resp_sum[ks], static_cast<double>(want_r[ks]),
+                  tol_r)
+          << "k=" << k;
+      EXPECT_NEAR(got.stats.resp_w2_sum[ks],
+                  static_cast<double>(want_rw2[ks]), tol_rw2)
+          << "k=" << k;
     }
   }
 }

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include "core/gaussian_mixture.h"
 #include "core/hyper.h"
@@ -84,13 +85,23 @@ TEST(GaussianMixtureTest, LargePrecisionComponentDominatesNearZero) {
 }
 
 TEST(GaussianMixtureTest, RegGradientMatchesNumericLogDensity) {
-  GaussianMixture gm({0.3, 0.7}, {0.5, 40.0});
-  double eps = 1e-6;
-  for (double x : {-2.0, -0.3, -0.05, 0.05, 0.7, 3.0}) {
-    double numeric =
-        -(gm.LogDensity(x + eps) - gm.LogDensity(x - eps)) / (2 * eps);
-    EXPECT_NEAR(gm.RegGradient(x), numeric, 1e-4 + 1e-4 * std::fabs(numeric))
-        << "x=" << x;
+  // Two components, and the most a mixture may have (kMaxGmComponents).
+  std::vector<double> pi64(kMaxGmComponents, 1.0 / kMaxGmComponents);
+  std::vector<double> lambda64;
+  for (int k = 0; k < kMaxGmComponents; ++k) {
+    lambda64.push_back(0.5 * std::pow(1.15, k));
+  }
+  for (const GaussianMixture& gm :
+       {GaussianMixture({0.3, 0.7}, {0.5, 40.0}),
+        GaussianMixture(pi64, lambda64)}) {
+    double eps = 1e-6;
+    for (double x : {-2.0, -0.3, -0.05, 0.05, 0.7, 3.0}) {
+      double numeric =
+          -(gm.LogDensity(x + eps) - gm.LogDensity(x - eps)) / (2 * eps);
+      EXPECT_NEAR(gm.RegGradient(x), numeric,
+                  1e-4 + 1e-4 * std::fabs(numeric))
+          << "K=" << gm.num_components() << " x=" << x;
+    }
   }
 }
 

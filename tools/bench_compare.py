@@ -11,7 +11,8 @@ directory, runs the benchmarks, and then calls
 Each BENCH file is one flat JSON record (bench/bench_util.h JsonSummary).
 Only scalar metrics with a known direction are compared:
 
-  higher-is-better:  keys ending in ".gflops" or "_qps"
+  higher-is-better:  keys ending in ".gflops", "_qps" or "_per_s" (rates
+                     such as the E-step's estep.k4.mweights_per_s)
   lower-is-better:   keys ending in "p95_ms" or containing "p95_ms."
 
 A metric regresses when it moves against its direction by more than
@@ -39,8 +40,7 @@ def classify(key):
     """
     if ".mt" in key and key.endswith(".speedup"):
         return None
-    if key.endswith(".gflops") or key.endswith("_qps") or key.endswith(
-            ".speedup"):
+    if key.endswith((".gflops", "_qps", "_per_s", ".speedup")):
         return "up"
     if key.endswith("p95_ms") or "p95_ms." in key:
         return "down"
