@@ -6,10 +6,11 @@
 // Custom main: before the google-benchmark suite runs, a fixed GEMM sweep
 // times the packed kernel against a naive scalar baseline at 1 thread, a
 // conv sweep times Alex-CIFAR-10's conv layers beside a GEMM of each
-// layer's shape, and an E-step sweep times one pass over alex-16's weights
-// per K; all write BENCH_kernels.json (GFLOP/s + speedup per shape, M
-// weights/s per K) — the record CI archives on every run. Passing
-// --benchmark_filter that matches nothing runs just the sweeps.
+// layer's shape and each GEMM those layers run per sample group, and an
+// E-step sweep times one pass over alex-16's weights per K; all write
+// BENCH_kernels.json (GFLOP/s + speedup per shape, M weights/s per K) — the
+// record CI archives on every run. Passing --benchmark_filter that matches
+// nothing runs just the sweeps.
 
 #include <benchmark/benchmark.h>
 
@@ -344,6 +345,65 @@ void RunConvSweep(double min_seconds, bench::JsonSummary* summary) {
   std::printf("\n");
 }
 
+// The GEMMs Alex-CIFAR-10's conv layers run per sample group at batch 16
+// (nn/conv.cc), at the caller's budget: the forward rows = W * panel
+// (beta 0), dW += rows * panel^T (beta 1) and dcol = W^T * rows (beta 0).
+// conv1's groups hold 3 samples, conv2's 1 and conv3's 4; conv1 has no
+// dcol, since nothing reads alex's input gradient. As in the layer, the
+// forward and dcol products take W packed once (PackGemmA), outside the
+// timed call. Each row is the best time of one call.
+void RunConvGemmSweep(double min_seconds, bench::JsonSummary* summary) {
+  struct ConvGemm {
+    const char* key;
+    bool trans_a, trans_b;
+    std::int64_t m, n, k;
+    float beta;
+    bool packed_a;
+  };
+  const ConvGemm gemms[] = {
+      {"alex_conv1.fwd", false, false, 32, 768, 75, 0.0f, true},
+      {"alex_conv1.dw", false, true, 32, 75, 768, 1.0f, false},
+      {"alex_conv2.fwd", false, false, 32, 64, 800, 0.0f, true},
+      {"alex_conv2.dw", false, true, 32, 800, 64, 1.0f, false},
+      {"alex_conv2.dcol", true, false, 800, 64, 32, 0.0f, true},
+      {"alex_conv3.fwd", false, false, 64, 64, 800, 0.0f, true},
+      {"alex_conv3.dw", false, true, 64, 800, 64, 1.0f, false},
+      {"alex_conv3.dcol", true, false, 800, 64, 64, 0.0f, true},
+  };
+  std::printf("Conv group GEMMs (kernel=%s)\n", GetKernelOps().name);
+  std::printf("%-24s %18s %12s\n", "gemm", "m x n x k", "GF/s");
+  for (const ConvGemm& g : gemms) {
+    Rng rng(11);
+    Tensor a({g.m, g.k}), b({g.k, g.n}), c({g.m, g.n});
+    FillUniform(&rng, -1.0, 1.0, &a);
+    FillUniform(&rng, -1.0, 1.0, &b);
+    std::int64_t lda = g.trans_a ? g.m : g.k;
+    std::int64_t ldb = g.trans_b ? g.k : g.n;
+    Tensor ap({PackedGemmAFloats(g.m, g.k)});
+    PackGemmA(g.trans_a, g.m, g.k, a.data(), lda, ap.data());
+    double secs = BestTimePerCall(
+        [&] {
+          if (g.packed_a) {
+            GemmPackedA(g.trans_a, g.trans_b, g.m, g.n, g.k, 1.0f, a.data(),
+                        lda, ap.data(), b.data(), ldb, g.beta, c.data(), g.n);
+          } else {
+            Gemm(g.trans_a, g.trans_b, g.m, g.n, g.k, 1.0f, a.data(), lda,
+                 b.data(), ldb, g.beta, c.data(), g.n);
+          }
+        },
+        min_seconds);
+    double gflops = 2.0 * static_cast<double>(g.m) * static_cast<double>(g.n) *
+                    static_cast<double>(g.k) / secs / 1e9;
+    std::string shape = StrFormat("%lld x %lld x %lld",
+                                  static_cast<long long>(g.m),
+                                  static_cast<long long>(g.n),
+                                  static_cast<long long>(g.k));
+    std::printf("%-24s %18s %12.2f\n", g.key, shape.c_str(), gflops);
+    summary->Add(StrFormat("gemm.%s.gflops", g.key), gflops);
+  }
+  std::printf("\n");
+}
+
 // The E-step kernel: the best time of one greg-plus-suffstats pass over
 // alex-16's 81,760 weights at the caller's budget, in M weights/s, for
 // K = 1/2/4/8 on the active tier and K = 4 on the forced scalar tier.
@@ -384,8 +444,8 @@ void RunEStepSweep(double min_seconds, bench::JsonSummary* summary) {
 }
 
 // Times the packed Gemm and the baseline on the standard shapes, the conv
-// layers and the E-step at a 1-thread budget, then the GEMM at budgets
-// 1/2/4/8, and writes BENCH_kernels.json.
+// layers and their group GEMMs, and the E-step at a 1-thread budget, then
+// the GEMM at budgets 1/2/4/8, and writes BENCH_kernels.json.
 void RunKernelSweep() {
   SetDefaultNumThreads(1);
   bench::JsonSummary summary("kernels", "synthetic-gemm-sweep");
@@ -435,6 +495,7 @@ void RunKernelSweep() {
   }
   std::printf("\n");
   RunConvSweep(min_seconds, &summary);
+  RunConvGemmSweep(min_seconds, &summary);
   RunEStepSweep(min_seconds, &summary);
 
   // Thread-scaling sweep of the 2D work-queue GEMM: budgets 1/2/4/8 per

@@ -22,7 +22,7 @@ constexpr std::int64_t kGroupFloats = std::int64_t{1} << 16;
 // Per-thread scratch that every Conv2d on the thread shares, like the GEMM's
 // packed-B buffer: a layer's pass finishes before the next layer's starts,
 // and a serving worker (one pool task) has its own. Grow-only and
-// arena-served, so steady-state steps never touch the heap. All three are
+// arena-served, so steady-state steps never touch the heap. All four are
 // sized by the layer shape, never the batch.
 struct ConvScratch {
   ScratchBuffer<float> panel;  // im2col columns, then dcol [patch, g*cols]
@@ -30,6 +30,10 @@ struct ConvScratch {
   // One zero-padded input plane [H+2p, W+2p], taken by the thread that runs
   // a sample's im2col or col2im (a pool worker at budget > 1).
   ScratchBuffer<float> plane;
+  // The weight packed once per pass for every group's GEMM (PackGemmA):
+  // W for the forward, W^T for the column gradient. The calling thread
+  // writes it before any GEMM publishes work; pool workers only read it.
+  ScratchBuffer<float> weight;
 };
 
 ConvScratch& ThreadConvScratch() {
@@ -196,6 +200,14 @@ void Conv2d::Forward(const Tensor& in, Tensor* out, bool train) {
       static_cast<std::size_t>(patch * group * cols));
   float* rows = scratch.rows.EnsureCapacity(
       static_cast<std::size_t>(out_channels_ * group * cols));
+  // The int8 path reads the quantized weight and needs no float pack.
+  bool quantized = !train && quantized_weight_ != nullptr;
+  float* wpack = nullptr;
+  if (!quantized) {
+    wpack = scratch.weight.EnsureCapacity(
+        static_cast<std::size_t>(PackedGemmAFloats(out_channels_, patch)));
+    PackGemmA(false, out_channels_, patch, weight_.data(), patch, wpack);
+  }
   const float* x = in.data();
   const float* bias = bias_.data();
   float* y = out->data();
@@ -210,14 +222,14 @@ void Conv2d::Forward(const Tensor& in, Tensor* out, bool train) {
       }
     });
     // rows [Cout, n] = W [Cout, patch] * panel [patch, n]
-    if (!train && quantized_weight_ != nullptr) {
+    if (quantized) {
       // Inference-only int8 path: per-output-row scales applied to each
       // finished row, accumulation stays float32 (tensor/quantize.h).
       GemmQuantA(out_channels_, n, patch, *quantized_weight_, panel, n, rows,
                  n);
     } else {
-      Gemm(false, false, out_channels_, n, patch, 1.0f, weight_.data(), patch,
-           panel, n, 0.0f, rows, n);
+      GemmPackedA(false, false, out_channels_, n, patch, 1.0f, weight_.data(),
+                  patch, wpack, panel, n, 0.0f, rows, n);
     }
     // Scatter the rows back to NCHW, adding the bias on the way.
     ParallelFor(g0, g1, /*grain=*/1, [&](std::int64_t i0, std::int64_t i1) {
@@ -260,17 +272,21 @@ void Conv2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
   std::int64_t cols = out_h * out_w;
   std::int64_t in_chw = in_channels_ * h * w;
   std::int64_t out_chw = out_channels_ * cols;
-  float* gx = nullptr;
-  if (grad_in != nullptr) {
-    EnsureShape(cached_in_.shape(), grad_in);
-    gx = grad_in->data();
-  }
   std::int64_t group = GroupSize(cols);
   ConvScratch& scratch = ThreadConvScratch();
   float* panel = scratch.panel.EnsureCapacity(
       static_cast<std::size_t>(patch * group * cols));
   float* rows = scratch.rows.EnsureCapacity(
       static_cast<std::size_t>(out_channels_ * group * cols));
+  float* gx = nullptr;
+  float* wtpack = nullptr;
+  if (grad_in != nullptr) {
+    EnsureShape(cached_in_.shape(), grad_in);
+    gx = grad_in->data();
+    wtpack = scratch.weight.EnsureCapacity(
+        static_cast<std::size_t>(PackedGemmAFloats(patch, out_channels_)));
+    PackGemmA(true, patch, out_channels_, weight_.data(), patch, wtpack);
+  }
   const float* x = cached_in_.data();
   const float* gy = grad_out.data();
   // The same groups as Forward. dW and db accumulate group after group in
@@ -296,8 +312,8 @@ void Conv2d::Backward(const Tensor& grad_out, Tensor* grad_in) {
     if (gx == nullptr) continue;  // nobody reads d(loss)/d(input)
     // dcol [patch, n] = W^T [patch, Cout] * gout [Cout, n], into the spent
     // panel.
-    Gemm(true, false, patch, n, out_channels_, 1.0f, weight_.data(), patch,
-         rows, n, 0.0f, panel, n);
+    GemmPackedA(true, false, patch, n, out_channels_, 1.0f, weight_.data(),
+                patch, wtpack, rows, n, 0.0f, panel, n);
     ParallelFor(g0, g1, /*grain=*/1, [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
         Col2Im(panel + (i - g0) * cols, n, h, w, out_h, out_w,

@@ -16,8 +16,11 @@ namespace gmreg {
 /// output and all gradients are bitwise identical at every thread budget
 /// (docs/KERNELS.md). im2col and col2im go through one zero-padded input
 /// plane [H+2p, W+2p] per thread, so they read and write it with no bounds
-/// test. `Backward(grad_out, nullptr)` skips the column-gradient GEMM and
-/// col2im and still accumulates dW and db.
+/// test. The weight is packed for the GEMM once per pass, not once per
+/// group: W by Forward (on the float path), W^T by Backward when it
+/// computes the input gradient. `Backward(grad_out, nullptr)` skips that
+/// pack, the column-gradient GEMM and col2im, and still accumulates dW and
+/// db.
 class Conv2d : public Layer {
  public:
   Conv2d(std::string name, std::int64_t in_channels, std::int64_t out_channels,

@@ -30,11 +30,12 @@ constexpr std::int64_t kScalarNR = 16;
 void GemmMicroScalar(std::int64_t kc, float alpha, const float* ap,
                      const float* bp, float* c, std::int64_t ldc,
                      std::int64_t mr, std::int64_t nr, bool overwrite) {
+  // Only the mr rows that are stored are computed.
   float acc[kScalarMR][kScalarNR] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* b_row = bp + p * kScalarNR;
     const float* a_col = ap + p * kScalarMR;
-    for (std::int64_t r = 0; r < kScalarMR; ++r) {
+    for (std::int64_t r = 0; r < mr; ++r) {
       float av = a_col[r];
       for (std::int64_t j = 0; j < kScalarNR; ++j) acc[r][j] += av * b_row[j];
     }
@@ -274,6 +275,69 @@ GemmGeometry AutotuneGeometry(std::int64_t mr, std::int64_t nr,
 
 }  // namespace internal
 
+namespace {
+
+typedef float V4 __attribute__((vector_size(16)));
+
+inline V4 Load4(const float* p) {
+  V4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void Store4(float* p, V4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// dst[r * ldd + c] = src[r * lds + c] for r < rows, c < cols: four floats
+// at a time through a register, then a scalar tail per row.
+void CopyInto(const float* src, std::int64_t lds, std::int64_t rows,
+              std::int64_t cols, float* dst, std::int64_t ldd) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* s = src + r * lds;
+    float* d = dst + r * ldd;
+    std::int64_t c = 0;
+    for (; c + 4 <= cols; c += 4) Store4(d + c, Load4(s + c));
+    for (; c < cols; ++c) d[c] = s[c];
+  }
+}
+
+// dst[c * ldd + r] = src[r * lds + c] for r < rows, c < cols. Each 4 x 4
+// block moves through registers: four rows of four floats are loaded,
+// transposed by shuffles, and stored as four contiguous floats per
+// destination row. Scalar loops take only the ragged rows and columns.
+// Either way every float is copied bit for bit.
+void TransposeInto(const float* src, std::int64_t lds, std::int64_t rows,
+                   std::int64_t cols, float* dst, std::int64_t ldd) {
+  std::int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const float* s = src + r * lds;
+    float* d = dst + r;
+    std::int64_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      V4 r0 = Load4(s + c);
+      V4 r1 = Load4(s + lds + c);
+      V4 r2 = Load4(s + 2 * lds + c);
+      V4 r3 = Load4(s + 3 * lds + c);
+      V4 t0 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+      V4 t1 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+      V4 t2 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+      V4 t3 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+      Store4(d + c * ldd, __builtin_shufflevector(t0, t2, 0, 1, 4, 5));
+      Store4(d + (c + 1) * ldd, __builtin_shufflevector(t0, t2, 2, 3, 6, 7));
+      Store4(d + (c + 2) * ldd, __builtin_shufflevector(t1, t3, 0, 1, 4, 5));
+      Store4(d + (c + 3) * ldd, __builtin_shufflevector(t1, t3, 2, 3, 6, 7));
+    }
+    for (; c < cols; ++c) {
+      for (std::int64_t i = 0; i < 4; ++i) d[c * ldd + i] = s[i * lds + c];
+    }
+  }
+  for (; r < rows; ++r) {
+    const float* s = src + r * lds;
+    for (std::int64_t c = 0; c < cols; ++c) dst[c * ldd + r] = s[c];
+  }
+}
+
+}  // namespace
+
 void PackB(bool trans_b, const float* b, std::int64_t ldb, std::int64_t k,
            std::int64_t n, float* bp, const GemmGeometry& geo) {
   const std::int64_t NR = geo.nr;
@@ -288,19 +352,11 @@ void PackB(bool trans_b, const float* b, std::int64_t ldb, std::int64_t k,
         std::memset(tile, 0, static_cast<std::size_t>(kc * NR) * sizeof(float));
       }
       if (!trans_b) {
-        // op(B)[p][j] = B[p][j]: contiguous row reads.
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const float* src = b + (p0 + p) * ldb + j0;
-          float* dst = tile + p * NR;
-          for (std::int64_t j = 0; j < nr; ++j) dst[j] = src[j];
-        }
+        // op(B)[p][j] = B[p][j]: rows of B stay rows of the tile.
+        CopyInto(b + p0 * ldb + j0, ldb, kc, nr, tile, NR);
       } else {
-        // op(B)[p][j] = B[j][p]: contiguous reads along p per output column.
-        for (std::int64_t j = 0; j < nr; ++j) {
-          const float* src = b + (j0 + j) * ldb + p0;
-          float* dst = tile + j;
-          for (std::int64_t p = 0; p < kc; ++p) dst[p * NR] = src[p];
-        }
+        // op(B)[p][j] = B[j][p]: rows of B become columns of the tile.
+        TransposeInto(b + j0 * ldb + p0, ldb, nr, kc, tile, NR);
       }
     }
   }
@@ -316,28 +372,30 @@ void PackA(bool trans_a, const float* a, std::int64_t lda, std::int64_t i0,
       std::memset(tile, 0, static_cast<std::size_t>(kc * MR) * sizeof(float));
     }
     if (!trans_a) {
-      // op(A)[i][p] = A[i][p]: contiguous row reads.
-      for (std::int64_t r = 0; r < mr; ++r) {
-        const float* src = a + (i0 + r0 + r) * lda + p0;
-        float* dst = tile + r;
-        for (std::int64_t p = 0; p < kc; ++p) dst[p * MR] = src[p];
-      }
+      // op(A)[i][p] = A[i][p]: rows of A become columns of the tile.
+      TransposeInto(a + (i0 + r0) * lda + p0, lda, mr, kc, tile, MR);
     } else {
-      // op(A)[i][p] = A[p][i]: contiguous reads along i per p.
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const float* src = a + (p0 + p) * lda + i0 + r0;
-        float* dst = tile + p * MR;
-        for (std::int64_t r = 0; r < mr; ++r) dst[r] = src[r];
-      }
+      // op(A)[i][p] = A[p][i]: rows of A stay rows of the tile.
+      CopyInto(a + p0 * lda + i0 + r0, lda, kc, mr, tile, MR);
     }
   }
 }
 
+void PackAllA(bool trans_a, const float* a, std::int64_t lda, std::int64_t m,
+              std::int64_t k, float* ap, const GemmGeometry& geo) {
+  std::int64_t m_round = RoundUpN(m, geo.mr);
+  for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
+    std::int64_t kc = std::min(geo.kc, k - p0);
+    PackA(trans_a, a, lda, 0, m, p0, kc, ap + p0 * m_round, geo.mr);
+  }
+}
+
 void GemmPackedBlock(bool trans_a, std::int64_t i0, std::int64_t i1,
-                     std::int64_t j0, std::int64_t j1, std::int64_t n,
-                     std::int64_t k, float alpha, const float* a,
-                     std::int64_t lda, const float* bp, float beta, float* c,
-                     std::int64_t ldc, const GemmGeometry& geo) {
+                     std::int64_t j0, std::int64_t j1, std::int64_t m,
+                     std::int64_t n, std::int64_t k, float alpha,
+                     const float* a, std::int64_t lda, const float* ap,
+                     const float* bp, float beta, float* c, std::int64_t ldc,
+                     const GemmGeometry& geo) {
   const std::int64_t MR = geo.mr;
   const std::int64_t NR = geo.nr;
   std::int64_t cols = j1 - j0;
@@ -360,26 +418,37 @@ void GemmPackedBlock(bool trans_a, std::int64_t i0, std::int64_t i1,
     }
   }
   const KernelOps& ops = GetKernelOps();
+  std::int64_t m_round = RoundUpN(m, MR);
   std::int64_t n_round = RoundUpN(n, NR);
-  // Per-worker A pack, bounded at MC x KC floats and reused across calls.
-  // Arena-served (ScratchBuffer) so a pool worker whose first GEMM lands
-  // mid-run sizes it from the slab, not the heap — the zero-alloc contract
-  // must hold whichever workers the ticket race picks (docs/MEMORY.md).
-  thread_local ScratchBuffer<float> apack_buf;
-  float* apack =
-      apack_buf.EnsureCapacity(static_cast<std::size_t>(geo.mc * geo.kc));
+  // Without a caller's pack, a per-worker A pack, bounded at MC x KC floats
+  // and reused across calls. Arena-served (ScratchBuffer) so a pool worker
+  // whose first GEMM lands mid-run sizes it from the slab, not the heap —
+  // the zero-alloc contract must hold whichever workers the ticket race
+  // picks (docs/MEMORY.md).
+  float* apack = nullptr;
+  if (ap == nullptr) {
+    thread_local ScratchBuffer<float> apack_buf;
+    apack = apack_buf.EnsureCapacity(static_cast<std::size_t>(geo.mc * geo.kc));
+  }
   for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
     std::int64_t kc = std::min(geo.kc, k - p0);
     const float* slab = bp + p0 * n_round;
     for (std::int64_t ic = i0; ic < i1; ic += geo.mc) {
       std::int64_t mc = std::min(geo.mc, i1 - ic);
-      PackA(trans_a, a, lda, ic, mc, p0, kc, apack, MR);
+      const float* a_block = apack;
+      if (ap != nullptr) {
+        // ic is a multiple of MR, so the caller's pack holds this block's
+        // row panels contiguously, in the order PackA would write them.
+        a_block = ap + p0 * m_round + (ic / MR) * kc * MR;
+      } else {
+        PackA(trans_a, a, lda, ic, mc, p0, kc, apack, MR);
+      }
       for (std::int64_t jc = j0; jc < j1; jc += NR) {
         std::int64_t nr = std::min(NR, j1 - jc);
         const float* b_tile = slab + (jc / NR) * kc * NR;
         for (std::int64_t r0 = 0; r0 < mc; r0 += MR) {
           std::int64_t mr = std::min(MR, mc - r0);
-          const float* a_tile = apack + (r0 / MR) * kc * MR;
+          const float* a_tile = a_block + (r0 / MR) * kc * MR;
           ops.gemm_micro(kc, alpha, a_tile, b_tile, c + (ic + r0) * ldc + jc,
                          ldc, mr, nr, overwrite_first && p0 == 0);
         }

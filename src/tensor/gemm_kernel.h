@@ -55,8 +55,9 @@ struct KernelOps {
   /// c[r*ldc + j] op= alpha * sum_p ap[p*MR + r] * bp[p*NR + j]
   /// for r < mr, j < nr, where MR/NR are this table's tile shape and op is
   /// `=` when `overwrite` (the beta == 0 first slab — C is never read) and
-  /// `+=` otherwise. The full MR x NR accumulator is always computed
-  /// (packed panels are zero-padded); only the mr x nr corner is stored.
+  /// `+=` otherwise. An edge tile (mr < MR or nr < NR) computes only the
+  /// rows, and on the SIMD tiers only the vectors, that it stores, each
+  /// element with the same operations as in a full tile.
   void (*gemm_micro)(std::int64_t kc, float alpha, const float* ap,
                      const float* bp, float* c, std::int64_t ldc,
                      std::int64_t mr, std::int64_t nr, bool overwrite);
@@ -174,7 +175,7 @@ GemmGeometry AutotuneGeometry(std::int64_t mr, std::int64_t nr,
 
 }  // namespace internal
 
-/// n rounded up to a whole number of NR column panels.
+/// n rounded up to a whole number of panels of `nr` (NR columns or MR rows).
 inline std::int64_t RoundUpN(std::int64_t n, std::int64_t nr) {
   return (n + nr - 1) / nr * nr;
 }
@@ -199,20 +200,38 @@ void PackA(bool trans_a, const float* a, std::int64_t lda, std::int64_t i0,
            std::int64_t mc, std::int64_t p0, std::int64_t kc, float* ap,
            std::int64_t mr);
 
+/// Number of floats PackAllA needs for op(A) of shape m x k under `geo`.
+inline std::int64_t PackedAFloats(std::int64_t m, std::int64_t k,
+                                  const GemmGeometry& geo) {
+  return k * RoundUpN(m, geo.mr);
+}
+
+/// Packs all of op(A)'s m x k into `ap` in the layout GemmPackedBlock
+/// reads: k slabs of kc = min(geo.kc, k - p0) in order, slab p0 at offset
+/// p0 * RoundUpN(m, mr), each holding PackA's row panels over all m rows.
+/// MC is a multiple of MR, so every A block a tile packs for itself is one
+/// contiguous run of this layout.
+void PackAllA(bool trans_a, const float* a, std::int64_t lda, std::int64_t m,
+              std::int64_t k, float* ap, const GemmGeometry& geo);
+
 /// One tile of the 2D-blocked GEMM: output rows [i0, i1) x columns
-/// [j0, j1) of C, consuming the shared packed B (`bp`, laid out by PackB
-/// over the full n) and packing its own A panels into thread-local
-/// arena-backed scratch. j0 must sit on a geo.nr panel boundary so the tile
-/// reads whole packed panels. Applies beta to its block first (beta == 0
-/// never reads C: the first k slab overwrites). Every C element is owned by
-/// exactly one tile and accumulates in the same order — ascending p within
-/// ascending k slabs — whatever the tile partition, so the 2D work queue is
+/// [j0, j1) of the m x n C, consuming the shared packed B (`bp`, laid out
+/// by PackB over the full n). op(A) comes from `ap` when it is non-null
+/// (PackAllA over the full m under the same `geo`; i0 must then sit on a
+/// geo.mr boundary); otherwise the tile packs its own A panels from `a`
+/// into thread-local arena-backed scratch. j0 must sit on a geo.nr panel
+/// boundary so the tile reads whole packed panels. Applies beta to its
+/// block first (beta == 0 never reads C: the first k slab overwrites).
+/// Every C element is owned by exactly one tile and accumulates in the same
+/// order — ascending p within ascending k slabs — whatever the tile
+/// partition and wherever A was packed, so the 2D work queue is
 /// bitwise-invariant to the thread budget (docs/KERNELS.md).
 void GemmPackedBlock(bool trans_a, std::int64_t i0, std::int64_t i1,
-                     std::int64_t j0, std::int64_t j1, std::int64_t n,
-                     std::int64_t k, float alpha, const float* a,
-                     std::int64_t lda, const float* bp, float beta, float* c,
-                     std::int64_t ldc, const GemmGeometry& geo);
+                     std::int64_t j0, std::int64_t j1, std::int64_t m,
+                     std::int64_t n, std::int64_t k, float alpha,
+                     const float* a, std::int64_t lda, const float* ap,
+                     const float* bp, float beta, float* c, std::int64_t ldc,
+                     const GemmGeometry& geo);
 
 }  // namespace gmreg
 

@@ -5,12 +5,14 @@
 // instruction can execute on hardware that lacks it.
 //
 // The register tile widens to 14x32: 28 ZMM accumulators plus two B vectors
-// and one broadcast fill 31 of the 32 ZMM registers. Per-element
+// and one broadcast fill 31 of the 32 ZMM registers. The micro-kernel is
+// tensor/gemm_micro_kernel.h's template at 16 floats per vector. Per-element
 // accumulation orders mirror the scalar tier exactly; the only permitted
 // numeric divergence is FMA contraction of a*b+c (docs/KERNELS.md
 // quantifies the tolerance, tests/gemm_kernel_test.cc pins it).
 
 #include "tensor/gemm_kernel.h"
+#include "tensor/gemm_micro_kernel.h"
 
 #if defined(GMREG_SIMD_AVX512)
 
@@ -29,56 +31,6 @@ inline V16 Load16(const float* p) {
 }
 
 inline void Store16(float* p, V16 v) { __builtin_memcpy(p, &v, sizeof(v)); }
-
-void GemmMicroAvx512(std::int64_t kc, float alpha, const float* ap,
-                     const float* bp, float* c, std::int64_t ldc,
-                     std::int64_t mr, std::int64_t nr, bool overwrite) {
-  V16 acc[kAvx512MR][2] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    V16 b0 = Load16(bp);
-    V16 b1 = Load16(bp + 16);
-    bp += kAvx512NR;
-    for (std::int64_t r = 0; r < kAvx512MR; ++r) {
-      V16 av = V16{} + ap[r];  // broadcast
-      acc[r][0] += av * b0;    // contracts to vfmadd
-      acc[r][1] += av * b1;
-    }
-    ap += kAvx512MR;
-  }
-  if (mr == kAvx512MR && nr == kAvx512NR) {
-    if (overwrite) {
-      for (std::int64_t r = 0; r < kAvx512MR; ++r) {
-        float* c_row = c + r * ldc;
-        Store16(c_row, alpha * acc[r][0]);
-        Store16(c_row + 16, alpha * acc[r][1]);
-      }
-    } else {
-      for (std::int64_t r = 0; r < kAvx512MR; ++r) {
-        float* c_row = c + r * ldc;
-        Store16(c_row, Load16(c_row) + alpha * acc[r][0]);
-        Store16(c_row + 16, Load16(c_row + 16) + alpha * acc[r][1]);
-      }
-    }
-    return;
-  }
-  // Partial tile: spill the accumulators and store the mr x nr corner.
-  float tmp[kAvx512MR][kAvx512NR];
-  for (std::int64_t r = 0; r < kAvx512MR; ++r) {
-    Store16(&tmp[r][0], acc[r][0]);
-    Store16(&tmp[r][16], acc[r][1]);
-  }
-  if (overwrite) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float* c_row = c + r * ldc;
-      for (std::int64_t j = 0; j < nr; ++j) c_row[j] = alpha * tmp[r][j];
-    }
-  } else {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float* c_row = c + r * ldc;
-      for (std::int64_t j = 0; j < nr; ++j) c_row[j] += alpha * tmp[r][j];
-    }
-  }
-}
 
 // The elementwise tier below is written as plain loops: compiled in this TU
 // they auto-vectorize to 512-bit vectors.
@@ -154,7 +106,7 @@ constexpr KernelOps kAvx512Ops = {
     KernelTier::kAvx512,
     kAvx512MR,
     kAvx512NR,
-    GemmMicroAvx512,
+    internal::GemmMicro<16, kAvx512MR, kAvx512NR>,
     AxpyAvx512,
     AddRowBroadcastAvx512,
     AddColBroadcastAvx512,

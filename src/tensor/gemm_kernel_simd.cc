@@ -4,11 +4,14 @@
 // unless the running CPU reports AVX2 and FMA support, so no AVX
 // instruction can execute on hardware that lacks it.
 //
-// Per-element accumulation orders mirror the scalar tier exactly; the only
-// permitted numeric divergence is FMA contraction of a*b+c (docs/KERNELS.md
-// quantifies the tolerance, tests/gemm_kernel_test.cc pins it).
+// The micro-kernel is tensor/gemm_micro_kernel.h's template at 8 floats per
+// vector. Per-element accumulation orders mirror the scalar tier exactly;
+// the only permitted numeric divergence is FMA contraction of a*b+c
+// (docs/KERNELS.md quantifies the tolerance, tests/gemm_kernel_test.cc pins
+// it).
 
 #include "tensor/gemm_kernel.h"
+#include "tensor/gemm_micro_kernel.h"
 
 #if defined(GMREG_SIMD_AVX2)
 
@@ -27,58 +30,6 @@ inline V8 Load8(const float* p) {
 }
 
 inline void Store8(float* p, V8 v) { __builtin_memcpy(p, &v, sizeof(v)); }
-
-void GemmMicroAvx2(std::int64_t kc, float alpha, const float* ap,
-                   const float* bp, float* c, std::int64_t ldc,
-                   std::int64_t mr, std::int64_t nr, bool overwrite) {
-  // 6x16 accumulator: 12 YMM registers, plus 2 for the B row and 1 for the
-  // broadcast A element.
-  V8 acc[kAvx2MR][2] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    V8 b0 = Load8(bp);
-    V8 b1 = Load8(bp + 8);
-    bp += kAvx2NR;
-    for (std::int64_t r = 0; r < kAvx2MR; ++r) {
-      V8 av = V8{} + ap[r];  // broadcast
-      acc[r][0] += av * b0;  // contracts to vfmadd
-      acc[r][1] += av * b1;
-    }
-    ap += kAvx2MR;
-  }
-  if (mr == kAvx2MR && nr == kAvx2NR) {
-    if (overwrite) {
-      for (std::int64_t r = 0; r < kAvx2MR; ++r) {
-        float* c_row = c + r * ldc;
-        Store8(c_row, alpha * acc[r][0]);
-        Store8(c_row + 8, alpha * acc[r][1]);
-      }
-    } else {
-      for (std::int64_t r = 0; r < kAvx2MR; ++r) {
-        float* c_row = c + r * ldc;
-        Store8(c_row, Load8(c_row) + alpha * acc[r][0]);
-        Store8(c_row + 8, Load8(c_row + 8) + alpha * acc[r][1]);
-      }
-    }
-    return;
-  }
-  // Partial tile: spill the accumulators and store the mr x nr corner.
-  float tmp[kAvx2MR][kAvx2NR];
-  for (std::int64_t r = 0; r < kAvx2MR; ++r) {
-    Store8(&tmp[r][0], acc[r][0]);
-    Store8(&tmp[r][8], acc[r][1]);
-  }
-  if (overwrite) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float* c_row = c + r * ldc;
-      for (std::int64_t j = 0; j < nr; ++j) c_row[j] = alpha * tmp[r][j];
-    }
-  } else {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float* c_row = c + r * ldc;
-      for (std::int64_t j = 0; j < nr; ++j) c_row[j] += alpha * tmp[r][j];
-    }
-  }
-}
 
 // The elementwise tier below is written as plain loops: compiled in this TU
 // they auto-vectorize to AVX2 (the scalar TU keeps the SSE2 baseline).
@@ -154,7 +105,7 @@ constexpr KernelOps kAvx2Ops = {
     KernelTier::kAvx2,
     kAvx2MR,
     kAvx2NR,
-    GemmMicroAvx2,
+    internal::GemmMicro<8, kAvx2MR, kAvx2NR>,
     AxpyAvx2,
     AddRowBroadcastAvx2,
     AddColBroadcastAvx2,

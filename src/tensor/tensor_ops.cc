@@ -80,12 +80,12 @@ void GemmSmall(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   }
 }
 
-}  // namespace
-
-void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, float alpha, const float* a, std::int64_t lda,
-          const float* b, std::int64_t ldb, float beta, float* c,
-          std::int64_t ldc) {
+// The body of Gemm and GemmPackedA: `ap` is op(A) packed by PackGemmA, or
+// null for tiles that pack their own A panels.
+void GemmDriver(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                std::int64_t k, float alpha, const float* a, std::int64_t lda,
+                const float* ap, const float* b, std::int64_t ldb, float beta,
+                float* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   KernelCounters& counters = GlobalKernelCounters();
   counters.gemm_calls->Add(1);
@@ -95,17 +95,19 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     ScaleRows(0, m, n, beta, c, ldc);
     return;
   }
-  // Path choice depends only on the shape, never on the thread budget, so a
-  // given problem always takes the same arithmetic.
+  // Path choice depends only on the shape, never on the thread budget or on
+  // whether A came packed, so a given problem always takes the same
+  // arithmetic.
   if (2 * m * n * k <= kGemmSmallFlops) {
     GemmSmall(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
   // Pack op(B) once into a caller-local buffer shared read-only by every
-  // tile; each tile packs its own A panels (docs/KERNELS.md). The buffer is
-  // arena-served scratch (grow-only, per thread): models call Gemm from
-  // inside pool workers (serving batch workers), and whichever worker packs
-  // first must not touch the heap in steady state (docs/MEMORY.md).
+  // tile; each tile packs its own A panels unless the caller packed op(A)
+  // (docs/KERNELS.md). The buffer is arena-served scratch (grow-only, per
+  // thread): models call Gemm from inside pool workers (serving batch
+  // workers), and whichever worker packs first must not touch the heap in
+  // steady state (docs/MEMORY.md).
   const GemmGeometry geo = GetGemmGeometry();
   thread_local ScratchBuffer<float> bpack;
   std::int64_t b_floats = PackedBFloats(k, n, geo);
@@ -121,7 +123,7 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   // another parallel region (e.g. a serving worker's forward pass) the
   // queue degrades to an in-order serial drain.
   std::int64_t tile_n = geo.nc;  // multiple of geo.nr, so packed panels align
-  std::int64_t tile_m = geo.mc;
+  std::int64_t tile_m = geo.mc;  // multiple of geo.mr, so A panels align
   auto grid_tiles = [&] {
     return ((m + tile_m - 1) / tile_m) * ((n + tile_n - 1) / tile_n);
   };
@@ -139,9 +141,36 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     std::int64_t i0 = (t / nt) * tile_m;
     std::int64_t j0 = (t % nt) * tile_n;
     GemmPackedBlock(trans_a, i0, std::min(i0 + tile_m, m), j0,
-                    std::min(j0 + tile_n, n), n, k, alpha, a, lda, bp, beta,
-                    c, ldc, geo);
+                    std::min(j0 + tile_n, n), m, n, k, alpha, a, lda, ap, bp,
+                    beta, c, ldc, geo);
   });
+}
+
+}  // namespace
+
+void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+          std::int64_t k, float alpha, const float* a, std::int64_t lda,
+          const float* b, std::int64_t ldb, float beta, float* c,
+          std::int64_t ldc) {
+  GemmDriver(trans_a, trans_b, m, n, k, alpha, a, lda, nullptr, b, ldb, beta,
+             c, ldc);
+}
+
+std::int64_t PackedGemmAFloats(std::int64_t m, std::int64_t k) {
+  return PackedAFloats(m, k, GetGemmGeometry());
+}
+
+void PackGemmA(bool trans_a, std::int64_t m, std::int64_t k, const float* a,
+               std::int64_t lda, float* ap) {
+  PackAllA(trans_a, a, lda, m, k, ap, GetGemmGeometry());
+}
+
+void GemmPackedA(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                 std::int64_t k, float alpha, const float* a, std::int64_t lda,
+                 const float* ap, const float* b, std::int64_t ldb, float beta,
+                 float* c, std::int64_t ldc) {
+  GemmDriver(trans_a, trans_b, m, n, k, alpha, a, lda, ap, b, ldb, beta, c,
+             ldc);
 }
 
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {

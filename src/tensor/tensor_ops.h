@@ -20,6 +20,26 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           const float* b, std::int64_t ldb, float beta, float* c,
           std::int64_t ldc);
 
+/// Floats that PackGemmA writes for an m x k op(A) on the active kernel tier.
+std::int64_t PackedGemmAFloats(std::int64_t m, std::int64_t k);
+
+/// Packs all of op(A) (m x k) once, into `ap` (PackedGemmAFloats(m, k)
+/// floats), for any number of GemmPackedA calls that share it: a conv
+/// layer's weight across its sample groups. The layout follows the active
+/// tier's blocking geometry, so a pack is good only until the tier changes.
+void PackGemmA(bool trans_a, std::int64_t m, std::int64_t k, const float* a,
+               std::int64_t lda, float* ap);
+
+/// Gemm with op(A) also given as `ap`, packed by PackGemmA from the same
+/// trans_a, m, k, a and lda: the same tile grid and counters, the same
+/// bits, and no A packing per tile. A product at or under kGemmSmallFlops
+/// (tensor/gemm_kernel.h) runs on the raw `a`, as Gemm does, so the path
+/// stays a function of the shape. Pool workers only read `ap`.
+void GemmPackedA(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                 std::int64_t k, float alpha, const float* a, std::int64_t lda,
+                 const float* ap, const float* b, std::int64_t ldb, float beta,
+                 float* c, std::int64_t ldc);
+
 /// out = a * b for rank-2 tensors; out is resized/allocated by the caller
 /// with shape [a.dim(0), b.dim(1)].
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out);

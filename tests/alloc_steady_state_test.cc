@@ -224,11 +224,12 @@ TEST(AllocSteadyStateTest, AlexTrainEvaluateTrainReachesZeroAllocs) {
 }
 
 TEST(AllocSteadyStateTest, ConvScratchDoesNotGrowWithTheBatch) {
-  // Conv2d's panel and rows are per-thread scratch sized by the layer
-  // shape. After a training pass at batch 16, an evaluation forward at
-  // batch 100 into a pre-sized output takes no memory at all; a panel sized
-  // by the batch would need 100 x 75 x 256 floats (7.3 MB) for conv1. The
-  // passes run on a new thread, whose scratch no earlier test has grown.
+  // Conv2d's panel, rows, padded plane and packed weight are per-thread
+  // scratch sized by the layer shape. After a training pass at batch 16,
+  // an evaluation forward at batch 100 into a pre-sized output, which packs
+  // the weight again, takes no memory at all; a panel sized by the batch
+  // would need 100 x 75 x 256 floats (7.3 MB) for conv1. The passes run on
+  // a new thread, whose scratch no earlier test has grown.
   Rng rng(9);
   InitSpec init = InitSpec::Gaussian(0.1);
   Conv2d conv1("conv1", 3, 32, 5, 1, 2, init, &rng);

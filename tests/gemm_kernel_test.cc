@@ -4,12 +4,15 @@
 // internal::ForceKernelTierForTesting, skipping tiers the running CPU does
 // not support. docs/KERNELS.md states the contracts pinned here.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/em.h"
@@ -116,8 +119,8 @@ TEST_P(PackedKernelTest, MatchesNaiveReferenceAtTileCorners) {
           std::vector<float> bp(
               static_cast<std::size_t>(PackedBFloats(k, n, geo)));
           PackB(trans_b, b.data(), ldb, k, n, bp.data(), geo);
-          GemmPackedBlock(trans_a, 0, m, 0, n, n, k, alpha, a.data(), lda,
-                          bp.data(), beta, got.data(), n, geo);
+          GemmPackedBlock(trans_a, 0, m, 0, n, m, n, k, alpha, a.data(), lda,
+                          nullptr, bp.data(), beta, got.data(), n, geo);
           NaiveGemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(),
                     ldb, beta, want.data(), n);
           double tol = 1e-5 * static_cast<double>(k) + 1e-6;
@@ -161,8 +164,8 @@ TEST_P(PackedKernelTest, InteriorTileTouchesOnlyItsBlock) {
   const std::int64_t i0 = geo.mr, i1 = m;
   const std::int64_t j0 = geo.nr, j1 = n;
   std::vector<float> got = c0;
-  GemmPackedBlock(trans_a, i0, i1, j0, j1, n, k, 1.0f, a.data(), lda,
-                  bp.data(), 0.0f, got.data(), n, geo);
+  GemmPackedBlock(trans_a, i0, i1, j0, j1, m, n, k, 1.0f, a.data(), lda,
+                  nullptr, bp.data(), 0.0f, got.data(), n, geo);
   double tol = 1e-5 * static_cast<double>(k) + 1e-6;
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
@@ -187,6 +190,276 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "Tb" : "Nb") + "_" +
              TierName(std::get<2>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Edge tiles at their true size: an element's bits do not depend on whether
+// its micro-tile is full. Per tier, every m in 1..2MR+1 and n in 1..NR+1
+// (so every fitted (rows, vectors) instance runs) against the same rows and
+// columns of a 3MR x 2NR product, where every element sits in a full tile.
+// Both sides go through PackB + GemmPackedBlock, so small shapes reach the
+// micro-kernel rather than the small-GEMM loop.
+// ---------------------------------------------------------------------------
+
+TEST(GemmEdgeTileTest, SameBitsAsFullTiles) {
+  KernelEnvGuard guard;
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!internal::ForceKernelTierForTesting(tier)) continue;
+    const GemmGeometry geo = GetGemmGeometry();
+    const std::int64_t big_m = 3 * geo.mr;
+    const std::int64_t big_n = 2 * geo.nr;
+    Rng rng(0xED6E);
+    for (std::int64_t k : {std::int64_t{1}, geo.kc, geo.kc + 1}) {
+      std::vector<float> a = RandomVec(&rng, big_m * k);
+      std::vector<float> b = RandomVec(&rng, k * big_n);
+      std::vector<float> c0 = RandomVec(&rng, big_m * big_n);
+      std::vector<float> big_bp(
+          static_cast<std::size_t>(PackedBFloats(k, big_n, geo)));
+      PackB(false, b.data(), big_n, k, big_n, big_bp.data(), geo);
+      std::vector<float> bp(big_bp.size());
+      for (float alpha : {1.0f, 0.3f}) {
+        for (float beta : {0.0f, 1.0f, 0.7f}) {
+          std::vector<float> full = c0;
+          GemmPackedBlock(false, 0, big_m, 0, big_n, big_m, big_n, k, alpha,
+                          a.data(), k, nullptr, big_bp.data(), beta,
+                          full.data(), big_n, geo);
+          for (std::int64_t n = 1; n <= geo.nr + 1; ++n) {
+            PackB(false, b.data(), big_n, k, n, bp.data(), geo);
+            for (std::int64_t m = 1; m <= 2 * geo.mr + 1; ++m) {
+              std::vector<float> got(static_cast<std::size_t>(m * n));
+              for (std::int64_t i = 0; i < m; ++i) {
+                std::memcpy(got.data() + i * n, c0.data() + i * big_n,
+                            static_cast<std::size_t>(n) * sizeof(float));
+              }
+              GemmPackedBlock(false, 0, m, 0, n, m, n, k, alpha, a.data(), k,
+                              nullptr, bp.data(), beta, got.data(), n, geo);
+              for (std::int64_t i = 0; i < m; ++i) {
+                ASSERT_EQ(0, std::memcmp(got.data() + i * n,
+                                         full.data() + i * big_n,
+                                         static_cast<std::size_t>(n) *
+                                             sizeof(float)))
+                    << "tier=" << TierName(tier) << " m=" << m << " n=" << n
+                    << " k=" << k << " alpha=" << alpha << " beta=" << beta
+                    << " row=" << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Packing: PackB, PackA and PackAllA are bit copies into the documented
+// layouts. Each is compared by memcmp with an element-by-element reference
+// layout, for both transposes, on every tier's geometry, at sizes straddling
+// the 4x4 register transpose, MR, NR, KC and 2KC+3, from sources with odd
+// leading dimensions that hold NaN payloads, -0.0 and denormals.
+// ---------------------------------------------------------------------------
+
+// Random floats with every fifth replaced by a special bit pattern: NaNs
+// with set mantissa bits (quiet, negative, signaling), -0.0 and denormals.
+std::vector<float> PackSource(Rng* rng, std::int64_t n) {
+  const std::uint32_t specials[] = {0x7fc12345u, 0xffc54321u, 0x7f812345u,
+                                    0x80000000u, 0x00000001u, 0x807fffffu};
+  std::vector<float> v = RandomVec(rng, n);
+  for (std::int64_t i = 0; i < n; i += 5) {
+    std::uint32_t bits = specials[(i / 5) % 6];
+    std::memcpy(&v[static_cast<std::size_t>(i)], &bits, sizeof(bits));
+  }
+  return v;
+}
+
+// An odd leading dimension past `cols`.
+std::int64_t OddLd(std::int64_t cols) { return cols + (cols % 2 == 0 ? 1 : 2); }
+
+// Sizes straddling 4, MR, NR, KC and 2KC+3 for one geometry.
+std::vector<std::int64_t> PackSides(const GemmGeometry& geo) {
+  return {1,          3,          4,          5,
+          geo.mr - 1, geo.mr,     geo.mr + 1, geo.nr - 1,
+          geo.nr,     geo.nr + 1, geo.kc - 1, geo.kc,
+          geo.kc + 1, 2 * geo.kc + 3};
+}
+
+// The packed buffer, prefilled with a pattern no pack writes, so a skipped
+// element shows.
+std::vector<float> PackTarget(std::int64_t floats) {
+  std::vector<float> v(static_cast<std::size_t>(floats));
+  const std::uint32_t unwritten = 0x7fbadbadu;
+  for (float& x : v) std::memcpy(&x, &unwritten, sizeof(unwritten));
+  return v;
+}
+
+bool SameFloatBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(GemmPackTest, PackBMatchesReferenceLayout) {
+  KernelEnvGuard guard;
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!internal::ForceKernelTierForTesting(tier)) continue;
+    const GemmGeometry geo = GetGemmGeometry();
+    const std::int64_t NR = geo.nr;
+    Rng rng(0xBAC4);
+    for (bool trans_b : {false, true}) {
+      for (std::int64_t k : PackSides(geo)) {
+        for (std::int64_t n : PackSides(geo)) {
+          std::int64_t ldb = OddLd(trans_b ? k : n);
+          std::vector<float> b = PackSource(&rng, (trans_b ? n : k) * ldb);
+          std::vector<float> got = PackTarget(PackedBFloats(k, n, geo));
+          PackB(trans_b, b.data(), ldb, k, n, got.data(), geo);
+          std::vector<float> want(got.size());
+          std::int64_t n_round = RoundUpN(n, NR);
+          for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
+            std::int64_t kc = std::min(geo.kc, k - p0);
+            for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
+              for (std::int64_t p = 0; p < kc; ++p) {
+                for (std::int64_t j = 0; j < NR; ++j) {
+                  std::int64_t col = j0 + j;
+                  std::int64_t row = p0 + p;
+                  float v = 0.0f;
+                  if (col < n) {
+                    v = trans_b ? b[static_cast<std::size_t>(col * ldb + row)]
+                                : b[static_cast<std::size_t>(row * ldb + col)];
+                  }
+                  want[static_cast<std::size_t>(p0 * n_round +
+                                                (j0 / NR) * kc * NR + p * NR +
+                                                j)] = v;
+                }
+              }
+            }
+          }
+          ASSERT_TRUE(SameFloatBits(got, want))
+              << "tier=" << TierName(tier) << " trans_b=" << trans_b
+              << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+// PackAllA (every slab over all m rows) and one PackA block at an interior
+// row and slab offset.
+TEST(GemmPackTest, PackAMatchesReferenceLayout) {
+  KernelEnvGuard guard;
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!internal::ForceKernelTierForTesting(tier)) continue;
+    const GemmGeometry geo = GetGemmGeometry();
+    const std::int64_t MR = geo.mr;
+    Rng rng(0xA4C4);
+    for (bool trans_a : {false, true}) {
+      for (std::int64_t m : PackSides(geo)) {
+        for (std::int64_t k : PackSides(geo)) {
+          std::int64_t lda = OddLd(trans_a ? m : k);
+          std::vector<float> a = PackSource(&rng, (trans_a ? k : m) * lda);
+          auto op_a = [&](std::int64_t i, std::int64_t p) {
+            return trans_a ? a[static_cast<std::size_t>(p * lda + i)]
+                           : a[static_cast<std::size_t>(i * lda + p)];
+          };
+          // Rows [i0, i0 + mc) of slab [p0, p0 + kc), as PackA lays them
+          // out at `offset` in `want`.
+          auto ref_block = [&](std::int64_t i0, std::int64_t mc,
+                               std::int64_t p0, std::int64_t kc,
+                               std::int64_t offset, std::vector<float>* want) {
+            for (std::int64_t r0 = 0; r0 < mc; r0 += MR) {
+              for (std::int64_t p = 0; p < kc; ++p) {
+                for (std::int64_t r = 0; r < MR; ++r) {
+                  float v = r0 + r < mc ? op_a(i0 + r0 + r, p0 + p) : 0.0f;
+                  (*want)[static_cast<std::size_t>(
+                      offset + (r0 / MR) * kc * MR + p * MR + r)] = v;
+                }
+              }
+            }
+          };
+          std::vector<float> got = PackTarget(PackedAFloats(m, k, geo));
+          PackAllA(trans_a, a.data(), lda, m, k, got.data(), geo);
+          std::vector<float> want(got.size());
+          for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
+            ref_block(0, m, p0, std::min(geo.kc, k - p0),
+                      p0 * RoundUpN(m, MR), &want);
+          }
+          ASSERT_TRUE(SameFloatBits(got, want))
+              << "PackAllA tier=" << TierName(tier) << " trans_a=" << trans_a
+              << " m=" << m << " k=" << k;
+          // A block past the first row panel and the first 3 columns.
+          if (m <= MR || k <= 3) continue;
+          std::int64_t i0 = MR, mc = m - MR, p0 = 3, kc = k - 3;
+          got = PackTarget(RoundUpN(mc, MR) * kc);
+          PackA(trans_a, a.data(), lda, i0, mc, p0, kc, got.data(), MR);
+          want.assign(got.size(), 0.0f);
+          ref_block(i0, mc, p0, kc, 0, &want);
+          ASSERT_TRUE(SameFloatBits(got, want))
+              << "PackA tier=" << TierName(tier) << " trans_a=" << trans_a
+              << " m=" << m << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+// GemmPackedA with a PackGemmA pack gives Gemm's bits on every tier, for
+// both transposes, at budgets 1/2/4/8, on shapes at, below and above the
+// small-GEMM threshold (where it runs on the raw A) and on alex's conv
+// group shapes.
+TEST(GemmPackedATest, SameBitsAsGemm) {
+  KernelEnvGuard guard;
+  struct Shape {
+    std::int64_t m, n, k;
+  };
+  const Shape shapes[] = {
+      {4, 4, 4},      // 128 flops: small path
+      {8, 16, 64},    // exactly kGemmSmallFlops: small path
+      {8, 16, 65},    // just above: packed path
+      {33, 47, 400},  // several slabs, ragged tiles
+      {32, 768, 75},  // conv1 forward
+      {800, 64, 32},  // conv2 column gradient
+      {64, 64, 800},  // conv3 forward
+  };
+  static_assert(2 * 8 * 16 * 64 == kGemmSmallFlops);
+  Rng rng(0x9ACA);
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!internal::ForceKernelTierForTesting(tier)) continue;
+    for (const Shape& s : shapes) {
+      for (bool trans_a : {false, true}) {
+        for (bool trans_b : {false, true}) {
+          std::int64_t lda = trans_a ? s.m : s.k;
+          std::int64_t ldb = trans_b ? s.k : s.n;
+          std::vector<float> a = RandomVec(&rng, s.m * s.k);
+          std::vector<float> b = RandomVec(&rng, s.k * s.n);
+          std::vector<float> c0 = RandomVec(&rng, s.m * s.n);
+          std::vector<float> ap(
+              static_cast<std::size_t>(PackedGemmAFloats(s.m, s.k)));
+          PackGemmA(trans_a, s.m, s.k, a.data(), lda, ap.data());
+          for (auto [alpha, beta] : {std::pair{1.0f, 0.0f},
+                                     std::pair{1.0f, 1.0f},
+                                     std::pair{0.3f, 0.7f}}) {
+            SetDefaultNumThreads(1);
+            std::vector<float> want = c0;
+            Gemm(trans_a, trans_b, s.m, s.n, s.k, alpha, a.data(), lda,
+                 b.data(), ldb, beta, want.data(), s.n);
+            for (int budget : {1, 2, 4, 8}) {
+              SetDefaultNumThreads(budget);
+              std::vector<float> got = c0;
+              GemmPackedA(trans_a, trans_b, s.m, s.n, s.k, alpha, a.data(),
+                          lda, ap.data(), b.data(), ldb, beta, got.data(),
+                          s.n);
+              ASSERT_TRUE(SameFloatBits(got, want))
+                  << "tier=" << TierName(tier) << " m=" << s.m
+                  << " n=" << s.n << " k=" << s.k << " trans_a=" << trans_a
+                  << " trans_b=" << trans_b << " alpha=" << alpha
+                  << " beta=" << beta << " budget=" << budget;
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 // Public Gemm at shapes large enough for the blocked path (several KC slabs
 // and MC blocks), all four transpose variants, per available tier.
