@@ -4,12 +4,13 @@
 // compared against, and the GEMM that dominates the network substrate.
 //
 // Custom main: before the google-benchmark suite runs, a fixed GEMM sweep
-// times the packed kernel against a naive scalar baseline at 1 thread, a
-// conv sweep times Alex-CIFAR-10's conv layers beside a GEMM of each
-// layer's shape and each GEMM those layers run per sample group, and an
-// E-step sweep times one pass over alex-16's weights per K; all write
-// BENCH_kernels.json (GFLOP/s + speedup per shape, M weights/s per K) — the
-// record CI archives on every run. Passing --benchmark_filter that matches
+// times the packed kernel against a naive scalar baseline at 1 thread, the
+// active tier's micro-kernel runs one register tile from L1, a conv sweep
+// times Alex-CIFAR-10's conv layers beside a GEMM of each layer's shape
+// and each GEMM those layers run per sample group, and an E-step sweep
+// times one pass over alex-16's weights per K; all write BENCH_kernels.json
+// (GFLOP/s + speedup per shape, M weights/s per K) — the record CI
+// archives on every run. Passing --benchmark_filter that matches
 // nothing runs just the sweeps.
 
 #include <benchmark/benchmark.h>
@@ -282,6 +283,34 @@ double BestTimePerCall(const std::function<void()>& fn, double min_seconds) {
   return best;
 }
 
+// The active tier's full MR x NR register tile over one KC slab of packed
+// panels that stay L1-resident, at the caller's budget: the micro-kernel's
+// own peak, where a costly broadcast or spilled accumulators would show.
+// Each timed call runs the tile 16 times.
+void RunMicroKernel(double min_seconds, bench::JsonSummary* summary) {
+  const KernelOps& ops = GetKernelOps();
+  Rng rng(13);
+  Tensor ap({kGemmKC * ops.mr}), bp({kGemmKC * ops.nr}), c({ops.mr * ops.nr});
+  FillUniform(&rng, -1.0, 1.0, &ap);
+  FillUniform(&rng, -1.0, 1.0, &bp);
+  constexpr int kTiles = 16;
+  double secs = BestTimePerCall(
+      [&] {
+        for (int t = 0; t < kTiles; ++t) {
+          ops.gemm_micro(kGemmKC, 1.0f, ap.data(), bp.data(), c.data(),
+                         ops.nr, ops.mr, ops.nr, /*overwrite=*/true);
+        }
+      },
+      min_seconds);
+  double gflops = 2.0 * kTiles * static_cast<double>(ops.mr * ops.nr) *
+                  static_cast<double>(kGemmKC) / secs / 1e9;
+  std::printf("Micro-kernel, %lld x %lld tile over KC = %lld (kernel=%s): "
+              "%.2f GF/s\n\n",
+              static_cast<long long>(ops.mr), static_cast<long long>(ops.nr),
+              static_cast<long long>(kGemmKC), ops.name, gflops);
+  summary->Add("gemm.micro.gflops", gflops);
+}
+
 // Alex-CIFAR-10's conv layers at its 16x16 input (models/alex_cifar10.cc:
 // 5x5 kernels, stride 1, pad 2), batch 16, at the caller's budget. Each
 // row divides the layer's forward plus backward flops (forward, dW and
@@ -443,8 +472,9 @@ void RunEStepSweep(double min_seconds, bench::JsonSummary* summary) {
   std::printf("\n");
 }
 
-// Times the packed Gemm and the baseline on the standard shapes, the conv
-// layers and their group GEMMs, and the E-step at a 1-thread budget, then
+// Times the packed Gemm and the baseline on the standard shapes, the
+// micro-kernel, the conv layers and their group GEMMs, and the E-step at a
+// 1-thread budget, then
 // the GEMM at budgets 1/2/4/8, and writes BENCH_kernels.json.
 void RunKernelSweep() {
   SetDefaultNumThreads(1);
@@ -494,6 +524,7 @@ void RunKernelSweep() {
     summary.Add(key + ".speedup", packed_gflops / base_gflops);
   }
   std::printf("\n");
+  RunMicroKernel(min_seconds, &summary);
   RunConvSweep(min_seconds, &summary);
   RunConvGemmSweep(min_seconds, &summary);
   RunEStepSweep(min_seconds, &summary);

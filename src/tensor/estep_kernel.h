@@ -1,9 +1,9 @@
 // The E-step kernel (paper Eqs. 9-10): one source, a template over the
-// vector width W, instantiated by three translation units: W = 2 on the
-// scalar tier's baseline ISA (estep_kernel_scalar.cc), W = 4 under AVX2
-// (estep_kernel_avx2.cc) and W = 8 under AVX-512 (estep_kernel_avx512.cc).
-// All three are compiled with -ffp-contract=off, so no a*b + c becomes an
-// FMA. Each lane runs the same IEEE double operations in the same order on
+// vector width W in doubles, which each tier's table instantiates
+// (tensor/kernel_tier.h): W = 2 on the scalar tier's baseline ISA, 4 under
+// AVX2 and 8 under AVX-512. No a*b + c in it is fused into an FMA: the
+// kernel writes none, and gmreg_tensor is compiled with -ffp-contract=off.
+// Each lane runs the same IEEE double operations in the same order on
 // every tier, and the sufficient statistics go through 8 lane partial sums
 // per component, folded in one fixed order, whatever W is. The outputs are
 // therefore the same bits on every tier (docs/KERNELS.md).

@@ -14,120 +14,6 @@ namespace gmreg {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar kernel tier. The accumulation orders here are the contract: the
-// SIMD tiers perform the same per-element operation sequences (modulo FMA
-// contraction, see docs/KERNELS.md), so results agree to rounding and the
-// blocked driver is free to dispatch any of them.
-// ---------------------------------------------------------------------------
-
-// The scalar tier keeps the 6x16 register tile of the original AVX2 kernel:
-// a tile shape shared with the AVX2 tier means the two produce identical
-// slab groupings, which keeps the scalar-vs-simd cross-check tolerance down
-// to FMA contraction alone.
-constexpr std::int64_t kScalarMR = 6;
-constexpr std::int64_t kScalarNR = 16;
-
-void GemmMicroScalar(std::int64_t kc, float alpha, const float* ap,
-                     const float* bp, float* c, std::int64_t ldc,
-                     std::int64_t mr, std::int64_t nr, bool overwrite) {
-  // Only the mr rows that are stored are computed.
-  float acc[kScalarMR][kScalarNR] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* b_row = bp + p * kScalarNR;
-    const float* a_col = ap + p * kScalarMR;
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float av = a_col[r];
-      for (std::int64_t j = 0; j < kScalarNR; ++j) acc[r][j] += av * b_row[j];
-    }
-  }
-  if (overwrite) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float* c_row = c + r * ldc;
-      for (std::int64_t j = 0; j < nr; ++j) c_row[j] = alpha * acc[r][j];
-    }
-  } else {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      float* c_row = c + r * ldc;
-      for (std::int64_t j = 0; j < nr; ++j) c_row[j] += alpha * acc[r][j];
-    }
-  }
-}
-
-void AxpyScalar(std::int64_t n, float alpha, const float* x, float* y) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void AddRowBroadcastScalar(std::int64_t rows, std::int64_t cols,
-                           const float* row, float* out) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    float* o = out + i * cols;
-    for (std::int64_t j = 0; j < cols; ++j) o[j] += row[j];
-  }
-}
-
-void AddColBroadcastScalar(std::int64_t rows, std::int64_t cols,
-                           const float* col, float* out) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    float v = col[i];
-    float* o = out + i * cols;
-    for (std::int64_t j = 0; j < cols; ++j) o[j] += v;
-  }
-}
-
-void ColSumsAccumScalar(std::int64_t rows, std::int64_t cols, const float* m,
-                        float* out) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const float* r = m + i * cols;
-    for (std::int64_t j = 0; j < cols; ++j) out[j] += r[j];
-  }
-}
-
-void RowSumsAccumScalar(std::int64_t rows, std::int64_t cols, const float* m,
-                        float* out) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const float* r = m + i * cols;
-    float acc = 0.0f;
-    for (std::int64_t j = 0; j < cols; ++j) acc += r[j];
-    out[i] += acc;
-  }
-}
-
-void ReluForwardScalar(std::int64_t n, const float* in, float* out,
-                       unsigned char* mask) {
-  if (mask != nullptr) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      bool pos = in[i] > 0.0f;
-      mask[i] = pos ? 1 : 0;
-      out[i] = pos ? in[i] : 0.0f;
-    }
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
-}
-
-void ReluBackwardScalar(std::int64_t n, const float* gout,
-                        const unsigned char* mask, float* gin) {
-  for (std::int64_t i = 0; i < n; ++i) gin[i] = mask[i] ? gout[i] : 0.0f;
-}
-
-constexpr KernelOps kScalarOps = {
-    "scalar",
-    KernelTier::kScalar,
-    kScalarMR,
-    kScalarNR,
-    GemmMicroScalar,
-    AxpyScalar,
-    AddRowBroadcastScalar,
-    AddColBroadcastScalar,
-    ColSumsAccumScalar,
-    RowSumsAccumScalar,
-    ReluForwardScalar,
-    ReluBackwardScalar,
-    internal::EStepScalarF32,
-    internal::EStepScalarF64,
-};
-
-// ---------------------------------------------------------------------------
 // Tier resolution. The env override names a *ceiling*; the dispatcher walks
 // down from it to the best tier that is compiled in and CPU-supported, so
 // GMREG_SIMD=avx512 on an AVX2-only machine degrades gracefully.
@@ -136,7 +22,7 @@ constexpr KernelOps kScalarOps = {
 const KernelOps* TierTableOrNull(KernelTier tier) {
   switch (tier) {
     case KernelTier::kScalar:
-      return &kScalarOps;
+      return internal::GetScalarKernelOps();
     case KernelTier::kAvx2:
       return internal::GetAvx2KernelOpsOrNull();
     case KernelTier::kAvx512:
@@ -150,7 +36,7 @@ const KernelOps& BestTierAtOrBelow(KernelTier ceiling) {
     const KernelOps* ops = TierTableOrNull(static_cast<KernelTier>(t));
     if (ops != nullptr) return *ops;
   }
-  return kScalarOps;
+  return *internal::GetScalarKernelOps();
 }
 
 KernelTier ParseTierCeiling(const char* env) {
@@ -179,21 +65,6 @@ const KernelOps& EnvResolvedOps() {
 // -1 = no forced tier; otherwise the KernelTier value pinned by tests.
 std::atomic<int> g_forced_tier{-1};
 
-// ---------------------------------------------------------------------------
-// Cache-geometry autotuning (docs/KERNELS.md). The rule is a pure function
-// of (register tile, cache sizes): deterministic per machine and tier.
-// ---------------------------------------------------------------------------
-
-std::int64_t SysconfCacheBytes(int name, std::int64_t fallback) {
-#if defined(_SC_LEVEL1_DCACHE_SIZE)
-  long v = sysconf(name);
-  if (v > 0) return static_cast<std::int64_t>(v);
-#else
-  (void)name;
-#endif
-  return fallback;
-}
-
 }  // namespace
 
 const KernelOps& GetKernelOps() {
@@ -208,7 +79,7 @@ const KernelOps& GetKernelOps() {
 GemmGeometry GetGemmGeometry() {
   const KernelOps& ops = GetKernelOps();
   return internal::AutotuneGeometry(ops.mr, ops.nr,
-                                    internal::GetCacheGeometry());
+                                    internal::GetL2CacheBytes());
 }
 
 namespace internal {
@@ -223,46 +94,30 @@ void ClearKernelTierForTesting() {
   g_forced_tier.store(-1, std::memory_order_relaxed);
 }
 
-CacheGeometry GetCacheGeometry() {
-  static const CacheGeometry geometry = [] {
-    CacheGeometry g;
-#if defined(_SC_LEVEL1_DCACHE_SIZE) && defined(_SC_LEVEL2_CACHE_SIZE)
-    g.l1d_bytes = SysconfCacheBytes(_SC_LEVEL1_DCACHE_SIZE, 32 * 1024);
-    g.l2_bytes = SysconfCacheBytes(_SC_LEVEL2_CACHE_SIZE, 1024 * 1024);
-#else
-    g.l1d_bytes = 32 * 1024;
-    g.l2_bytes = 1024 * 1024;
+std::int64_t GetL2CacheBytes() {
+  static const std::int64_t l2_bytes = [] {
+#if defined(_SC_LEVEL2_CACHE_SIZE)
+    long v = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    if (v > 0) return static_cast<std::int64_t>(v);
 #endif
-    // A bogus topology report (L2 smaller than L1) would produce degenerate
-    // blocks; fall back to the fixed table instead.
-    if (g.l2_bytes < g.l1d_bytes) {
-      g.l1d_bytes = 32 * 1024;
-      g.l2_bytes = 1024 * 1024;
-    }
-    return g;
+    return std::int64_t{1024 * 1024};
   }();
-  return geometry;
+  return l2_bytes;
 }
 
+// The cache-geometry autotuning rule (docs/KERNELS.md): a pure function of
+// (register tile, L2 size), so deterministic per machine and tier.
 GemmGeometry AutotuneGeometry(std::int64_t mr, std::int64_t nr,
-                              const CacheGeometry& cache) {
+                              std::int64_t l2_bytes) {
   GemmGeometry geo;
   geo.mr = mr;
   geo.nr = nr;
-  // KC: half of L1d holds one KC x NR packed B panel (the other half feeds
-  // the streaming A panel and the C tile), rounded down to a multiple of 8
-  // and clamped so tiny/huge cache reports stay sane. The 32 KB fallback
-  // with NR = 16 reproduces the previous fixed KC = 256.
-  std::int64_t kc = cache.l1d_bytes / 2 /
-                    (nr * static_cast<std::int64_t>(sizeof(float)));
-  kc = std::max<std::int64_t>(64, std::min<std::int64_t>(512, kc / 8 * 8));
-  geo.kc = kc;
   // MC: a quarter of L2 holds the MC x KC A pack (leaving room for the B
   // slab passing through), rounded down to a multiple of MR. Capped at 192
   // rows so one work-queue tile never swallows a whole medium matrix —
   // parallelism needs several tiles in flight.
-  std::int64_t mc = cache.l2_bytes / 4 /
-                    (kc * static_cast<std::int64_t>(sizeof(float)));
+  std::int64_t mc =
+      l2_bytes / 4 / (kGemmKC * static_cast<std::int64_t>(sizeof(float)));
   mc = std::min<std::int64_t>(192, mc);
   mc = std::max(mr, mc / mr * mr);
   geo.mc = mc;
@@ -342,8 +197,8 @@ void PackB(bool trans_b, const float* b, std::int64_t ldb, std::int64_t k,
            std::int64_t n, float* bp, const GemmGeometry& geo) {
   const std::int64_t NR = geo.nr;
   std::int64_t n_round = RoundUpN(n, NR);
-  for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
-    std::int64_t kc = std::min(geo.kc, k - p0);
+  for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKC) {
+    std::int64_t kc = std::min(kGemmKC, k - p0);
     float* slab = bp + p0 * n_round;
     for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
       std::int64_t nr = std::min(NR, n - j0);
@@ -384,8 +239,8 @@ void PackA(bool trans_a, const float* a, std::int64_t lda, std::int64_t i0,
 void PackAllA(bool trans_a, const float* a, std::int64_t lda, std::int64_t m,
               std::int64_t k, float* ap, const GemmGeometry& geo) {
   std::int64_t m_round = RoundUpN(m, geo.mr);
-  for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
-    std::int64_t kc = std::min(geo.kc, k - p0);
+  for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKC) {
+    std::int64_t kc = std::min(kGemmKC, k - p0);
     PackA(trans_a, a, lda, 0, m, p0, kc, ap + p0 * m_round, geo.mr);
   }
 }
@@ -428,10 +283,11 @@ void GemmPackedBlock(bool trans_a, std::int64_t i0, std::int64_t i1,
   float* apack = nullptr;
   if (ap == nullptr) {
     thread_local ScratchBuffer<float> apack_buf;
-    apack = apack_buf.EnsureCapacity(static_cast<std::size_t>(geo.mc * geo.kc));
+    apack =
+        apack_buf.EnsureCapacity(static_cast<std::size_t>(geo.mc * kGemmKC));
   }
-  for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
-    std::int64_t kc = std::min(geo.kc, k - p0);
+  for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKC) {
+    std::int64_t kc = std::min(kGemmKC, k - p0);
     const float* slab = bp + p0 * n_round;
     for (std::int64_t ic = i0; ic < i1; ic += geo.mc) {
       std::int64_t mc = std::min(geo.mc, i1 - ic);

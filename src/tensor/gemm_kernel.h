@@ -9,10 +9,12 @@ namespace gmreg {
 /// Gemm runs a plain unpacked loop instead.
 inline constexpr std::int64_t kGemmSmallFlops = 1 << 14;
 
-/// Upper bounds on the register tile across every compiled tier: the scalar
-/// micro-kernel's stack accumulator and test scratch size against these.
-inline constexpr std::int64_t kGemmMaxMR = 14;
-inline constexpr std::int64_t kGemmMaxNR = 32;
+/// Depth of one k slab of the packed GEMM, the same on every tier and
+/// machine. The blocked GEMM adds each slab's partial into C, so the slab
+/// length sets an element's rounding: a KC that followed the tier or the
+/// cache would give each its own bits. 192 keeps one 192 x 32 AVX-512 B
+/// panel in half of a 48 KiB L1d (docs/KERNELS.md).
+inline constexpr std::int64_t kGemmKC = 192;
 
 /// Most mixture components the E-step kernel takes (KernelOps::estep_f32).
 inline constexpr int kEStepMaxComponents = 64;
@@ -23,23 +25,24 @@ inline constexpr int kEStepMaxComponents = 64;
 enum class KernelTier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Blocking geometry of the packed GEMM (docs/KERNELS.md). MR x NR is the
-/// register tile of the active tier's micro-kernel; KC/MC/NC are the cache
-/// block sizes autotuned once at startup from the machine's L1d/L2 geometry
-/// (sysconf, with a fixed fallback table). All five are process-constant
-/// for a given tier, so tile boundaries — and therefore accumulation
-/// orders — never depend on the thread budget.
+/// register tile of the active tier's micro-kernel; MC/NC are the cache
+/// block sizes autotuned once at startup from the machine's L2 size
+/// (sysconf, with a fixed fallback). The k slab depth is kGemmKC on every
+/// tier. All of them are process-constant for a given tier, and none
+/// changes an element's operations: tile boundaries only decide which
+/// micro-kernel call computes it.
 struct GemmGeometry {
   std::int64_t mr;  ///< register tile rows (fixed per tier: 6 or 14)
   std::int64_t nr;  ///< register tile cols (fixed per tier: 16 or 32)
-  std::int64_t kc;  ///< k slab depth: one KC x NR B panel stays L1-resident
   std::int64_t mc;  ///< A block rows: one MC x KC pack stays L2-resident
   std::int64_t nc;  ///< column block width of one 2D work-queue tile
 };
 
 /// The runtime-dispatched kernel tier: the GEMM micro-kernel plus the
 /// vectorized elementwise kernels layered on the same GMREG_SIMD gate.
-/// Exactly one table is active at a time; all tiers share the per-element
-/// accumulation orders documented in docs/KERNELS.md.
+/// Exactly one table is active at a time. Every entry gives the same bits
+/// on every tier (tensor/kernel_tier.h, docs/KERNELS.md): the tiers differ
+/// only in speed.
 struct KernelOps {
   /// Short label for telemetry/benches, e.g. "avx2-fma" or "scalar".
   const char* name;
@@ -55,14 +58,15 @@ struct KernelOps {
   /// c[r*ldc + j] op= alpha * sum_p ap[p*MR + r] * bp[p*NR + j]
   /// for r < mr, j < nr, where MR/NR are this table's tile shape and op is
   /// `=` when `overwrite` (the beta == 0 first slab — C is never read) and
-  /// `+=` otherwise. An edge tile (mr < MR or nr < NR) computes only the
-  /// rows, and on the SIMD tiers only the vectors, that it stores, each
+  /// `+=` otherwise, the sum and the `+=` each a chain of fused
+  /// multiply-adds (tensor/gemm_micro_kernel.h). An edge tile (mr < MR or
+  /// nr < NR) computes only the rows and vectors that it stores, each
   /// element with the same operations as in a full tile.
   void (*gemm_micro)(std::int64_t kc, float alpha, const float* ap,
                      const float* bp, float* c, std::int64_t ldc,
                      std::int64_t mr, std::int64_t nr, bool overwrite);
 
-  /// y[i] += alpha * x[i].
+  /// y[i] = fma(alpha, x[i], y[i]), rounded once.
   void (*axpy)(std::int64_t n, float alpha, const float* x, float* y);
 
   /// out[i*cols + j] += row[j] (dense bias broadcast).
@@ -77,7 +81,8 @@ struct KernelOps {
   void (*col_sums_accum)(std::int64_t rows, std::int64_t cols, const float* m,
                          float* out);
 
-  /// out[i] += sum_j m[i*cols + j] (conv bias gradient).
+  /// out[i] += sum_j m[i*cols + j] (conv bias gradient), summed in 16 lane
+  /// partials folded in lane order, then the tail.
   void (*row_sums_accum)(std::int64_t rows, std::int64_t cols, const float* m,
                          float* out);
 
@@ -95,8 +100,7 @@ struct KernelOps {
   /// kEStepMaxComponents. Unless greg is null, writes
   /// greg[m] = sum_k r_k(w_m) lambda_k w_m. Unless resp_sum is null, adds
   /// sum_m r_k(w_m) into resp_sum[k] and sum_m r_k(w_m) w_m^2 into
-  /// resp_w2_sum[k]. Unlike the entries above, every tier gives the same
-  /// bits (tensor/estep_kernel.h, docs/KERNELS.md).
+  /// resp_w2_sum[k] (tensor/estep_kernel.h, docs/KERNELS.md).
   void (*estep_f32)(std::int64_t n, const float* w, int kk,
                     const double* log_coef, const double* lambda, float* greg,
                     double* resp_sum, double* resp_w2_sum);
@@ -114,42 +118,18 @@ struct KernelOps {
 const KernelOps& GetKernelOps();
 
 /// Blocking geometry for the active tier: its fixed MR x NR register tile
-/// plus KC/MC/NC autotuned from cache geometry (resolved once per process;
+/// plus MC/NC autotuned from the L2 size (resolved once per process;
 /// deterministic — depends only on the machine and the tier).
 GemmGeometry GetGemmGeometry();
 
 namespace internal {
 
-/// The AVX2+FMA table, or nullptr when not compiled in / not supported by
-/// this CPU. Defined by gemm_kernel_simd.cc.
+/// The tier tables, one translation unit each (tensor/kernel_tier.h). The
+/// scalar table is always there; the AVX2+FMA and AVX-512 ones are nullptr
+/// when not compiled in or not supported by this CPU.
+const KernelOps* GetScalarKernelOps();
 const KernelOps* GetAvx2KernelOpsOrNull();
-
-/// The AVX-512 table, or nullptr when not compiled in / not supported by
-/// this CPU. Defined by gemm_kernel_avx512.cc.
 const KernelOps* GetAvx512KernelOpsOrNull();
-
-/// The E-step kernel's instances for the three tables (KernelOps::estep_f32
-/// and estep_f64), one translation unit per tier: estep_kernel_scalar.cc,
-/// and estep_kernel_avx2.cc / estep_kernel_avx512.cc, which define theirs
-/// only when that tier is compiled in.
-void EStepScalarF32(std::int64_t n, const float* w, int kk,
-                    const double* log_coef, const double* lambda, float* greg,
-                    double* resp_sum, double* resp_w2_sum);
-void EStepScalarF64(std::int64_t n, const double* w, int kk,
-                    const double* log_coef, const double* lambda,
-                    double* greg, double* resp_sum, double* resp_w2_sum);
-void EStepAvx2F32(std::int64_t n, const float* w, int kk,
-                  const double* log_coef, const double* lambda, float* greg,
-                  double* resp_sum, double* resp_w2_sum);
-void EStepAvx2F64(std::int64_t n, const double* w, int kk,
-                  const double* log_coef, const double* lambda, double* greg,
-                  double* resp_sum, double* resp_w2_sum);
-void EStepAvx512F32(std::int64_t n, const float* w, int kk,
-                    const double* log_coef, const double* lambda, float* greg,
-                    double* resp_sum, double* resp_w2_sum);
-void EStepAvx512F64(std::int64_t n, const double* w, int kk,
-                    const double* log_coef, const double* lambda,
-                    double* greg, double* resp_sum, double* resp_w2_sum);
 
 /// Test hook: pins GetKernelOps() to one tier so a single binary can run
 /// the conformance battery per tier. Returns false (leaving the pin
@@ -159,19 +139,15 @@ void EStepAvx512F64(std::int64_t n, const double* w, int kk,
 bool ForceKernelTierForTesting(KernelTier tier);
 void ClearKernelTierForTesting();
 
-/// Cache sizes feeding the block autotuner, resolved once per process from
-/// sysconf with the fixed fallback table (l1d = 32 KB, l2 = 1 MB) when the
-/// platform does not report them. Exposed for tests/benches.
-struct CacheGeometry {
-  std::int64_t l1d_bytes;
-  std::int64_t l2_bytes;
-};
-CacheGeometry GetCacheGeometry();
+/// The L2 size feeding the block autotuner, resolved once per process from
+/// sysconf, with a 1 MiB fallback when the platform does not report it.
+/// Exposed for tests/benches.
+std::int64_t GetL2CacheBytes();
 
-/// The KC/MC/NC autotuning rule for a given register tile — pure function
-/// of (tile, cache sizes) so tests can pin its invariants.
+/// The MC/NC autotuning rule for a given register tile — pure function of
+/// (tile, L2 size) so tests can pin its invariants.
 GemmGeometry AutotuneGeometry(std::int64_t mr, std::int64_t nr,
-                              const CacheGeometry& cache);
+                              std::int64_t l2_bytes);
 
 }  // namespace internal
 
@@ -187,7 +163,7 @@ inline std::int64_t PackedBFloats(std::int64_t k, std::int64_t n,
 }
 
 /// Packs op(B)'s full k x n into `bp` for the blocked GEMM. Layout: k slabs
-/// of kc = min(geo.kc, k - p0) in order; within a slab, column panels of
+/// of kc = min(kGemmKC, k - p0) in order; within a slab, column panels of
 /// geo.nr as contiguous kc x NR tiles (zero-padded past n). Slab p0 starts
 /// at offset p0 * RoundUpN(n, nr); panel j0 at + (j0/NR) * kc * NR.
 void PackB(bool trans_b, const float* b, std::int64_t ldb, std::int64_t k,
@@ -207,7 +183,7 @@ inline std::int64_t PackedAFloats(std::int64_t m, std::int64_t k,
 }
 
 /// Packs all of op(A)'s m x k into `ap` in the layout GemmPackedBlock
-/// reads: k slabs of kc = min(geo.kc, k - p0) in order, slab p0 at offset
+/// reads: k slabs of kc = min(kGemmKC, k - p0) in order, slab p0 at offset
 /// p0 * RoundUpN(m, mr), each holding PackA's row panels over all m rows.
 /// MC is a multiple of MR, so every A block a tile packs for itself is one
 /// contiguous run of this layout.

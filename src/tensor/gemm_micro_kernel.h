@@ -1,16 +1,26 @@
-// The GEMM micro-kernel of the SIMD tiers: one source, a template over the
-// vector width W in floats, instantiated by gemm_kernel_simd.cc (W = 8,
-// 6 x 16 tile, AVX2+FMA) and gemm_kernel_avx512.cc (W = 16, 14 x 32 tile).
-// Both translation units keep FMA contraction, so `acc += av * b` and the
-// writeback `c + alpha * acc` each become one fused multiply-add.
+// The GEMM micro-kernel of every tier: one source, a template over an ISA
+// policy that each tier's translation unit supplies (tensor/kernel_tier.h).
+// The policy gives the vector width kWidth in floats, the register tile
+// kMR x kNR, a vector type V, and V's Zero, Load, Store, LoadPartial and
+// StorePartial (the first n lanes; a partial load zeroes the rest),
+// Broadcast (from memory), Mul and a written-out fused multiply-add
+// Fma(a, b, c) = a*b + c rounded once: _mm512_fmadd_ps, _mm256_fmadd_ps, or
+// __builtin_fmaf on one float. Nothing relies on compiler contraction,
+// which gmreg_tensor turns off (src/tensor/CMakeLists.txt).
+//
+// Per stored element c[i][j] every tier runs the same operations in the
+// same order: acc = 0; acc = fma(a[i][p], b[p][j], acc) for ascending p in
+// the KC slab; then c = alpha * acc on the first slab of a beta == 0
+// product, c = fma(alpha, acc, c) otherwise. KC is one constant
+// (kGemmKC), so the vector width, the register tile and the cache sizes
+// only decide which instance computes an element, never its bits.
 //
 // Every (R, NV) — R rows of 1..MR and NV vectors of 1..NR/W — is its own
 // instance, picked by a table on (mr, nv): an edge tile computes only the
-// rows and vectors of C that it stores. Each stored element runs the same
-// operations in every instance, in the same order, and goes through the
-// same writeback expression, so its bits do not depend on where its tile
-// sits. Every function here is a template over W, and each W is
-// instantiated in one translation unit only, so the linker can never hand
+// rows and vectors of C that it stores. The accumulators are locals indexed
+// by constants once the loops over R and NV unroll, so they stay in
+// registers. Each tier's policy type has internal linkage, so every
+// instance belongs to one translation unit, and the linker can never hand
 // a narrower tier code compiled for a wider ISA.
 
 #ifndef GMREG_TENSOR_GEMM_MICRO_KERNEL_H_
@@ -18,104 +28,94 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 namespace gmreg {
 namespace internal {
 
-template <int W>
-struct GemmVec {
-  typedef float V __attribute__((vector_size(4 * W)));
-};
-
-template <int W>
-inline typename GemmVec<W>::V GemmLoad(const float* p) {
-  typename GemmVec<W>::V v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-template <int W>
-inline void GemmStore(float* p, typename GemmVec<W>::V v) {
-  std::memcpy(p, &v, sizeof(v));
-}
-
-// The one writeback of W floats of C: alpha * acc, or c + alpha * acc.
-// `overwrite` is a template parameter so that no instance holds both forms:
-// where one function held both, the compiler could share alpha * acc
-// between them and then no longer fuse it into c + alpha * acc.
-template <int W, bool Overwrite>
-inline void GemmWriteBack(float* c, float alpha, typename GemmVec<W>::V acc) {
-  if constexpr (Overwrite) {
-    GemmStore<W>(c, alpha * acc);
-  } else {
-    GemmStore<W>(c, GemmLoad<W>(c) + alpha * acc);  // contracts
-  }
-}
+// Full unrolling of the loops over a tile's rows and vectors, so every
+// accumulator index is a constant and the accumulators stay in registers.
+#if defined(__clang__)
+#define GMREG_UNROLL_TILE _Pragma("unroll")
+#else
+#define GMREG_UNROLL_TILE _Pragma("GCC unroll 32")
+#endif
 
 // Rows [0, R) and vectors [0, NV) of an MR x NR register tile (see
 // KernelOps::gemm_micro). nr > (NV - 1) * W columns are stored; a last
-// vector with fewer than W of them is written back through a W-float
-// staging row, with the same expression as a whole vector.
-template <int W, int MR, int NR, int R, int NV, bool Overwrite>
+// vector with fewer than W of them is read and written through the
+// policy's partial load and store, with the same operations as a whole
+// vector.
+template <typename Isa, int R, int NV, bool Overwrite>
 void GemmMicroFitted(std::int64_t kc, float alpha, const float* ap,
                      const float* bp, float* c, std::int64_t ldc,
                      std::int64_t nr) {
-  using V = typename GemmVec<W>::V;
-  V acc[R][NV] = {};
+  using V = typename Isa::V;
+  constexpr int W = Isa::kWidth;
+  V acc[R][NV];
+  GMREG_UNROLL_TILE
+  for (int r = 0; r < R; ++r) {
+    GMREG_UNROLL_TILE
+    for (int v = 0; v < NV; ++v) acc[r][v] = Isa::Zero();
+  }
   for (std::int64_t p = 0; p < kc; ++p) {
     V b[NV];
-    for (int v = 0; v < NV; ++v) b[v] = GemmLoad<W>(bp + v * W);
-    bp += NR;
+    GMREG_UNROLL_TILE
+    for (int v = 0; v < NV; ++v) b[v] = Isa::Load(bp + v * W);
+    GMREG_UNROLL_TILE
     for (int r = 0; r < R; ++r) {
-      V av = V{} + ap[r];  // broadcast
-      for (int v = 0; v < NV; ++v) acc[r][v] += av * b[v];  // contracts
+      const V a = Isa::Broadcast(ap + r);
+      GMREG_UNROLL_TILE
+      for (int v = 0; v < NV; ++v) acc[r][v] = Isa::Fma(a, b[v], acc[r][v]);
     }
-    ap += MR;
+    bp += Isa::kNR;
+    ap += Isa::kMR;
   }
-  const std::int64_t tail = nr - (NV - 1) * W;
-  if (tail == W) {
-    for (int r = 0; r < R; ++r) {
-      for (int v = 0; v < NV; ++v) {
-        GemmWriteBack<W, Overwrite>(c + r * ldc + v * W, alpha, acc[r][v]);
+  const V va = Isa::Broadcast(&alpha);
+  // Writes the first n <= W floats of alpha * x (+ dst) to dst.
+  auto write_back = [&va](float* dst, V x, int n) {
+    if (n == W) {
+      if constexpr (Overwrite) {
+        Isa::Store(dst, Isa::Mul(va, x));
+      } else {
+        Isa::Store(dst, Isa::Fma(va, x, Isa::Load(dst)));
       }
+    } else if constexpr (Overwrite) {
+      Isa::StorePartial(dst, Isa::Mul(va, x), n);
+    } else {
+      Isa::StorePartial(dst, Isa::Fma(va, x, Isa::LoadPartial(dst, n)), n);
     }
-    return;
-  }
-  // The stage is filled and emptied in loops of their own, so the
-  // writeback loop holds no call and unrolls like the full-tile one.
-  float stage[R][W] = {};
-  const std::size_t bytes = static_cast<std::size_t>(tail) * sizeof(float);
-  float* last = c + (NV - 1) * W;
-  if constexpr (!Overwrite) {
-    for (int r = 0; r < R; ++r) std::memcpy(stage[r], last + r * ldc, bytes);
-  }
+  };
+  const int tail = static_cast<int>(nr - (NV - 1) * W);
+  GMREG_UNROLL_TILE
   for (int r = 0; r < R; ++r) {
-    for (int v = 0; v + 1 < NV; ++v) {
-      GemmWriteBack<W, Overwrite>(c + r * ldc + v * W, alpha, acc[r][v]);
-    }
-    GemmWriteBack<W, Overwrite>(stage[r], alpha, acc[r][NV - 1]);
+    float* row = c + r * ldc;
+    GMREG_UNROLL_TILE
+    for (int v = 0; v + 1 < NV; ++v) write_back(row + v * W, acc[r][v], W);
+    write_back(row + (NV - 1) * W, acc[r][NV - 1], tail);
   }
-  for (int r = 0; r < R; ++r) std::memcpy(last + r * ldc, stage[r], bytes);
 }
 
-// KernelOps::gemm_micro for an MR x NR tile of W-float vectors: dispatches
-// to the instance fitted to (overwrite, mr, ceil(nr / W)).
-template <int W, int MR, int NR>
+#undef GMREG_UNROLL_TILE
+
+// KernelOps::gemm_micro for the policy's MR x NR tile: dispatches to the
+// instance fitted to (overwrite, mr, ceil(nr / W)).
+template <typename Isa>
 void GemmMicro(std::int64_t kc, float alpha, const float* ap, const float* bp,
                float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
                bool overwrite) {
-  constexpr int kNV = NR / W;
+  constexpr int W = Isa::kWidth;
+  constexpr int MR = Isa::kMR;
+  constexpr int kNV = Isa::kNR / W;
   constexpr int kTiles = MR * kNV;
-  static_assert(kNV * W == NR);
+  static_assert(kNV * W == Isa::kNR);
   using Fitted = void (*)(std::int64_t, float, const float*, const float*,
                           float*, std::int64_t, std::int64_t);
   // Entry (o, r, v) at (o * MR + r) * kNV + v runs R = r + 1, NV = v + 1.
   static constexpr std::array<Fitted, 2 * kTiles> kFitted =
       []<int... I>(std::integer_sequence<int, I...>) {
         return std::array<Fitted, 2 * kTiles>{
-            &GemmMicroFitted<W, MR, NR, (I % kTiles) / kNV + 1, I % kNV + 1,
+            &GemmMicroFitted<Isa, (I % kTiles) / kNV + 1, I % kNV + 1,
                              (I >= kTiles)>...};
       }(std::make_integer_sequence<int, 2 * kTiles>{});
   std::int64_t nv = (nr + W - 1) / W;

@@ -1,14 +1,18 @@
 // Conformance, determinism and NaN-semantics tests for the blocked GEMM
-// (tensor/gemm_kernel.h) and the elementwise kernel tier. The packed-kernel
-// battery runs once per compiled tier (scalar / AVX2 / AVX-512) via
-// internal::ForceKernelTierForTesting, skipping tiers the running CPU does
-// not support. docs/KERNELS.md states the contracts pinned here.
+// (tensor/gemm_kernel.h) and the elementwise kernel tier, plus the golden
+// digest that every tier must reproduce and a short training run compared
+// across tiers. The packed-kernel battery runs once per compiled tier
+// (scalar / AVX2 / AVX-512) via internal::ForceKernelTierForTesting,
+// skipping tiers the running CPU does not support. docs/KERNELS.md states
+// the contracts pinned here.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -16,8 +20,11 @@
 #include <vector>
 
 #include "core/em.h"
+#include "core/gm_regularizer.h"
 #include "gtest/gtest.h"
+#include "models/alex_cifar10.h"
 #include "nn/conv.h"
+#include "optim/trainer.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
@@ -100,9 +107,10 @@ TEST_P(PackedKernelTest, MatchesNaiveReferenceAtTileCorners) {
   const GemmGeometry geo = GetGemmGeometry();
   Rng rng(0xC0FFEE);
   // Sides straddling every register-tile boundary across all tiers:
-  // 1, 6 +- 1 (scalar/AVX2 MR), 14 +- 1 (AVX-512 MR), 16 +- 1
-  // (scalar/AVX2 NR), 32 +- 1 (AVX-512 NR), and a prime beyond one panel.
-  const std::int64_t sides[] = {1, 5, 6, 7, 13, 14, 15, 16, 17, 31, 32, 37};
+  // 1, 4 +- 1 (scalar MR and NR), 6 +- 1 (AVX2 MR), 14 +- 1 (AVX-512 MR),
+  // 16 +- 1 (AVX2 NR), 32 +- 1 (AVX-512 NR), and a prime beyond one panel.
+  const std::int64_t sides[] = {1,  3,  4,  5,  6,  7,  13,
+                                14, 15, 16, 17, 31, 32, 37};
   const std::pair<float, float> coeffs[] = {
       {1.0f, 0.0f}, {0.5f, 0.5f}, {1.0f, 1.0f}, {0.0f, 1.0f}};
   for (std::int64_t m : sides) {
@@ -209,7 +217,7 @@ TEST(GemmEdgeTileTest, SameBitsAsFullTiles) {
     const std::int64_t big_m = 3 * geo.mr;
     const std::int64_t big_n = 2 * geo.nr;
     Rng rng(0xED6E);
-    for (std::int64_t k : {std::int64_t{1}, geo.kc, geo.kc + 1}) {
+    for (std::int64_t k : {std::int64_t{1}, kGemmKC, kGemmKC + 1}) {
       std::vector<float> a = RandomVec(&rng, big_m * k);
       std::vector<float> b = RandomVec(&rng, k * big_n);
       std::vector<float> c0 = RandomVec(&rng, big_m * big_n);
@@ -278,8 +286,8 @@ std::int64_t OddLd(std::int64_t cols) { return cols + (cols % 2 == 0 ? 1 : 2); }
 std::vector<std::int64_t> PackSides(const GemmGeometry& geo) {
   return {1,          3,          4,          5,
           geo.mr - 1, geo.mr,     geo.mr + 1, geo.nr - 1,
-          geo.nr,     geo.nr + 1, geo.kc - 1, geo.kc,
-          geo.kc + 1, 2 * geo.kc + 3};
+          geo.nr,     geo.nr + 1, kGemmKC - 1, kGemmKC,
+          kGemmKC + 1, 2 * kGemmKC + 3};
 }
 
 // The packed buffer, prefilled with a pattern no pack writes, so a skipped
@@ -313,8 +321,8 @@ TEST(GemmPackTest, PackBMatchesReferenceLayout) {
           PackB(trans_b, b.data(), ldb, k, n, got.data(), geo);
           std::vector<float> want(got.size());
           std::int64_t n_round = RoundUpN(n, NR);
-          for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
-            std::int64_t kc = std::min(geo.kc, k - p0);
+          for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKC) {
+            std::int64_t kc = std::min(kGemmKC, k - p0);
             for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
               for (std::int64_t p = 0; p < kc; ++p) {
                 for (std::int64_t j = 0; j < NR; ++j) {
@@ -378,8 +386,8 @@ TEST(GemmPackTest, PackAMatchesReferenceLayout) {
           std::vector<float> got = PackTarget(PackedAFloats(m, k, geo));
           PackAllA(trans_a, a.data(), lda, m, k, got.data(), geo);
           std::vector<float> want(got.size());
-          for (std::int64_t p0 = 0; p0 < k; p0 += geo.kc) {
-            ref_block(0, m, p0, std::min(geo.kc, k - p0),
+          for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKC) {
+            ref_block(0, m, p0, std::min(kGemmKC, k - p0),
                       p0 * RoundUpN(m, MR), &want);
           }
           ASSERT_TRUE(SameFloatBits(got, want))
@@ -494,39 +502,37 @@ TEST(GemmConformanceTest, BlockedPathLargeShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Autotuned blocking geometry: the KC/MC/NC rule must keep its invariants
-// for every register tile whatever cache sizes the machine reports, and the
-// fixed fallback must reproduce the historical KC = 256 at NR = 16.
+// Autotuned blocking geometry: the MC/NC rule must keep its invariants for
+// every register tile whatever L2 size the machine reports. KC is not
+// autotuned: one constant on every tier and cache.
 // ---------------------------------------------------------------------------
+
+// The L2 sizes of the five simulated cache geometries.
+constexpr std::int64_t kSimulatedL2Bytes[] = {
+    1024 * 1024,       // the fixed fallback
+    2 * 1024 * 1024,   // common client parts
+    256 * 1024,        // small embedded-ish cache
+    4 * 1024,          // absurdly tiny: clamps must hold
+    64 * 1024 * 1024,  // absurdly huge: ditto
+};
 
 TEST(GemmGeometryTest, AutotuneInvariantsAcrossCacheShapes) {
   const std::pair<std::int64_t, std::int64_t> tiles[] = {{6, 16}, {14, 32}};
-  const internal::CacheGeometry caches[] = {
-      {32 * 1024, 1024 * 1024},             // the fixed fallback table
-      {48 * 1024, 2 * 1024 * 1024},         // common client parts
-      {16 * 1024, 256 * 1024},              // small embedded-ish cache
-      {1 * 1024, 4 * 1024},                 // absurdly tiny: clamps must hold
-      {4 * 1024 * 1024, 64 * 1024 * 1024},  // absurdly huge: ditto
-  };
   for (auto [mr, nr] : tiles) {
-    for (const auto& cache : caches) {
-      GemmGeometry geo = internal::AutotuneGeometry(mr, nr, cache);
+    for (std::int64_t l2 : kSimulatedL2Bytes) {
+      GemmGeometry geo = internal::AutotuneGeometry(mr, nr, l2);
       EXPECT_EQ(geo.mr, mr);
       EXPECT_EQ(geo.nr, nr);
-      EXPECT_GE(geo.kc, 64) << "mr=" << mr << " l1=" << cache.l1d_bytes;
-      EXPECT_LE(geo.kc, 512);
-      EXPECT_EQ(geo.kc % 8, 0);
-      EXPECT_GE(geo.mc, mr);
+      EXPECT_GE(geo.mc, mr) << "mr=" << mr << " l2=" << l2;
       EXPECT_LE(geo.mc, 192);
       EXPECT_EQ(geo.mc % mr, 0);
       EXPECT_GE(geo.nc, nr);
       EXPECT_EQ(geo.nc % nr, 0);
     }
   }
-  // Fallback cache + the 6x16 tile reproduces the previous fixed KC = 256.
-  GemmGeometry legacy =
-      internal::AutotuneGeometry(6, 16, {32 * 1024, 1024 * 1024});
-  EXPECT_EQ(legacy.kc, 256);
+  // KC is one constant, the 192 the AVX-512 tile autotuned to from a
+  // 48 KiB L1d: no geometry carries it, so no tier or cache can change it.
+  static_assert(kGemmKC == 192);
 }
 
 TEST(GemmGeometryTest, ProcessGeometryIsStableAndMatchesActiveTier) {
@@ -534,11 +540,169 @@ TEST(GemmGeometryTest, ProcessGeometryIsStableAndMatchesActiveTier) {
   GemmGeometry second = GetGemmGeometry();
   EXPECT_EQ(first.mr, GetKernelOps().mr);
   EXPECT_EQ(first.nr, GetKernelOps().nr);
-  EXPECT_EQ(first.kc, second.kc);
   EXPECT_EQ(first.mc, second.mc);
   EXPECT_EQ(first.nc, second.nc);
-  internal::CacheGeometry cache = internal::GetCacheGeometry();
-  EXPECT_GE(cache.l2_bytes, cache.l1d_bytes);
+  EXPECT_GT(internal::GetL2CacheBytes(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden output: one digest of GEMM, elementwise and conv bits that every
+// tier, thread budget, cache size and compiler must reproduce. Every tier
+// runs each element's fused multiply-adds in the same order over the same
+// KC slabs (docs/KERNELS.md), and the inputs come from Rng::NextUniform,
+// which calls no libm, so nothing machine-specific enters the digest.
+// ---------------------------------------------------------------------------
+
+// FNV-1a, 64-bit, over the bytes of float outputs in call order.
+class Fnv1a {
+ public:
+  void Add(const float* p, std::int64_t n) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n) * sizeof(float);
+         ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3u;
+    }
+  }
+  void Add(const std::vector<float>& v) {
+    Add(v.data(), static_cast<std::int64_t>(v.size()));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325u;
+};
+
+using GemmFn = std::function<void(
+    bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+    std::int64_t k, float alpha, const float* a, std::int64_t lda,
+    const float* b, std::int64_t ldb, float beta, float* c, std::int64_t ldc)>;
+
+// The golden sweep. Gemm through `gemm` over all four transposes, alpha 1
+// and 0.3, beta 0, 1 and 0.7, and m, n and k across every tier's tile
+// edges and the KC edges (both the small and the packed path); Axpy and
+// RowSumsAccum across their vector and lane edges; and alex-16's three
+// conv layers (5x5, pad 2; 3->32 at 16x16, 32->32 at 8x8, 32->64 at 4x4)
+// at batch 5: output, dW, db and the input gradient.
+std::uint64_t GoldenDigest(const GemmFn& gemm) {
+  Fnv1a digest;
+  Rng rng(0x601DE2);
+  const std::int64_t sides[] = {1, 5, 6, 7, 14, 15, 33};
+  const std::int64_t cols[] = {1, 5, 16, 17, 32, 33, 75};
+  const std::int64_t depths[] = {1, kGemmKC - 1, kGemmKC, kGemmKC + 1,
+                                 2 * kGemmKC + 1};
+  for (bool trans_a : {false, true}) {
+    for (bool trans_b : {false, true}) {
+      for (std::int64_t m : sides) {
+        for (std::int64_t n : cols) {
+          for (std::int64_t k : depths) {
+            std::vector<float> a = RandomVec(&rng, m * k);
+            std::vector<float> b = RandomVec(&rng, k * n);
+            std::vector<float> c0 = RandomVec(&rng, m * n);
+            for (float alpha : {1.0f, 0.3f}) {
+              for (float beta : {0.0f, 1.0f, 0.7f}) {
+                std::vector<float> c = c0;
+                gemm(trans_a, trans_b, m, n, k, alpha, a.data(),
+                     trans_a ? m : k, b.data(), trans_b ? k : n, beta,
+                     c.data(), n);
+                digest.Add(c);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::int64_t n : {1, 15, 16, 17, 1003}) {
+    std::vector<float> x = RandomVec(&rng, n);
+    std::vector<float> y = RandomVec(&rng, n);
+    GetKernelOps().axpy(n, 0.3f, x.data(), y.data());
+    digest.Add(y);
+  }
+  for (std::int64_t n : {1, 15, 16, 17, 64, 100}) {
+    std::vector<float> m = RandomVec(&rng, 3 * n);
+    std::vector<float> sums = RandomVec(&rng, 3);
+    RowSumsAccum(3, n, m.data(), sums.data());
+    digest.Add(sums);
+  }
+  auto fill = [&rng](Tensor* t) {
+    std::vector<float> v = RandomVec(&rng, t->size());
+    std::copy(v.begin(), v.end(), t->data());
+  };
+  struct ConvShape {
+    std::int64_t in_c, out_c, hw;
+  };
+  for (ConvShape s : {ConvShape{3, 32, 16}, ConvShape{32, 32, 8},
+                      ConvShape{32, 64, 4}}) {
+    // The layer's Gaussian init calls libm; its values are overwritten.
+    Rng init_rng(1);
+    Conv2d conv("c", s.in_c, s.out_c, /*kernel=*/5, /*stride=*/1,
+                /*padding=*/2, InitSpec::Gaussian(0.1), &init_rng);
+    std::vector<ParamRef> params;
+    conv.CollectParams(&params);
+    for (const ParamRef& p : params) fill(p.value);
+    Tensor in({5, s.in_c, s.hw, s.hw});
+    fill(&in);
+    Tensor out;
+    conv.Forward(in, &out, /*train=*/true);
+    Tensor gout(out.shape());
+    fill(&gout);
+    Tensor gin;
+    conv.Backward(gout, &gin);
+    digest.Add(out.data(), out.size());
+    for (const ParamRef& p : params) digest.Add(p.grad->data(), p.grad->size());
+    digest.Add(gin.data(), gin.size());
+  }
+  return digest.value();
+}
+
+// The digest of GoldenDigest(Gemm): a change to it is a change to the
+// kernels' bits on every tier.
+constexpr std::uint64_t kGoldenDigest = 0xc193448c4df33d3cu;
+
+TEST(GemmGoldenTest, SameDigestOnEveryTierAndBudget) {
+  KernelEnvGuard guard;
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!internal::ForceKernelTierForTesting(tier)) continue;
+    for (int budget : {1, 4}) {
+      SetDefaultNumThreads(budget);
+      std::uint64_t digest = GoldenDigest(Gemm);
+      EXPECT_EQ(digest, kGoldenDigest)
+          << "tier=" << TierName(tier) << " budget=" << budget
+          << " digest=0x" << std::hex << digest;
+    }
+  }
+}
+
+// The GEMMs on the packed path run as one GemmPackedBlock over all of C
+// under each simulated L2 size's geometry: MC and NC move tile
+// boundaries, and the digest must not see them. The small path does not
+// depend on the geometry and runs through Gemm. This runs on the active
+// tier; CI's forced-tier steps run it on the lower ones.
+TEST(GemmGoldenTest, SameDigestUnderEveryCacheGeometry) {
+  const KernelOps& ops = GetKernelOps();
+  for (std::int64_t l2 : kSimulatedL2Bytes) {
+    const GemmGeometry geo = internal::AutotuneGeometry(ops.mr, ops.nr, l2);
+    std::vector<float> bp;
+    auto blocked = [&](bool trans_a, bool trans_b, std::int64_t m,
+                       std::int64_t n, std::int64_t k, float alpha,
+                       const float* a, std::int64_t lda, const float* b,
+                       std::int64_t ldb, float beta, float* c,
+                       std::int64_t ldc) {
+      if (2 * m * n * k <= kGemmSmallFlops) {
+        Gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+        return;
+      }
+      bp.resize(static_cast<std::size_t>(PackedBFloats(k, n, geo)));
+      PackB(trans_b, b, ldb, k, n, bp.data(), geo);
+      GemmPackedBlock(trans_a, 0, m, 0, n, m, n, k, alpha, a, lda, nullptr,
+                      bp.data(), beta, c, ldc, geo);
+    };
+    std::uint64_t digest = GoldenDigest(blocked);
+    EXPECT_EQ(digest, kGoldenDigest)
+        << "tier=" << ops.name << " l2=" << l2 << " mc=" << geo.mc
+        << " nc=" << geo.nc << " digest=0x" << std::hex << digest;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -588,9 +752,7 @@ TEST(GemmNanTest, AlphaZeroNeverReadsAOrB) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: bitwise-identical C at every thread budget for every tier,
-// and a bounded, documented divergence between the scalar and SIMD tiers
-// (FMA contraction only).
+// Determinism: bitwise-identical C at every thread budget and on every tier.
 // ---------------------------------------------------------------------------
 
 std::vector<float> RunGemmAtBudget(int budget) {
@@ -621,7 +783,7 @@ TEST(GemmDeterminismTest, BitIdenticalAcrossThreadBudgetsEveryTier) {
   }
 }
 
-TEST(GemmDeterminismTest, SimdMatchesScalarWithinFmaTolerance) {
+TEST(GemmDeterminismTest, SimdMatchesScalarBitwise) {
   KernelEnvGuard guard;
   Rng rng(0xBEEF);
   const std::int64_t m = 72, n = 48, k = 256;
@@ -641,15 +803,9 @@ TEST(GemmDeterminismTest, SimdMatchesScalarWithinFmaTolerance) {
     std::vector<float> simd = c0;
     Gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f,
          simd.data(), n);
-    // Same per-element accumulation order; the only divergence allowed is
-    // FMA contraction (docs/KERNELS.md), bounded by ~k ulps of the running
-    // sum.
-    double tol = 1e-5 * static_cast<double>(k);
-    for (std::int64_t i = 0; i < m * n; ++i) {
-      ASSERT_NEAR(scalar[static_cast<std::size_t>(i)],
-                  simd[static_cast<std::size_t>(i)], tol)
-          << "tier=" << TierName(tier) << " i=" << i;
-    }
+    // Every tier runs each element's fused multiply-adds in the same
+    // order over the same KC slabs (docs/KERNELS.md).
+    EXPECT_TRUE(SameFloatBits(scalar, simd)) << "tier=" << TierName(tier);
   }
 }
 
@@ -1024,6 +1180,93 @@ TEST(EStepFixedKTest, MatchesResponsibilitiesBitwise) {
       EXPECT_NEAR(got.stats.resp_w2_sum[ks],
                   static_cast<double>(want_rw2[ks]), tol_rw2)
           << "k=" << k;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Training: a few SGD steps of a small alex under a lazy GM prior give the
+// same weights, greg and learned mixture on every tier and at budgets 1
+// and 4. Every kernel a step reaches (GEMM, the elementwise ops and the
+// E-step) gives the same bits on every tier.
+// ---------------------------------------------------------------------------
+
+struct TrainedBits {
+  std::vector<std::vector<float>> params;
+  std::vector<std::vector<float>> gregs;
+  std::vector<std::vector<double>> pis;
+  std::vector<std::vector<double>> lambdas;
+};
+
+// Six steps of alex-16 on one batch of 4, with a GM prior on every weight
+// that refreshes greg every second step and the mixture every third.
+TrainedBits TrainAlexWithLazyGm() {
+  Rng rng(0xA1E5);
+  AlexCifar10Config config;
+  std::unique_ptr<Sequential> net = BuildAlexCifar10(config, &rng);
+  TrainOptions opts;
+  opts.batch_size = 4;
+  opts.num_train_samples = 100;
+  Trainer trainer(net.get(), opts);
+  std::vector<const GmRegularizer*> priors;
+  trainer.AttachToAllWeights(
+      [&](const ParamRef& p) -> std::unique_ptr<Regularizer> {
+        GmOptions gm;
+        gm.min_precision = MinPrecisionFromInitStdDev(p.init_stddev);
+        gm.lazy.warmup_epochs = 0;
+        gm.lazy.greg_interval = 2;
+        gm.lazy.gm_interval = 3;
+        auto prior =
+            std::make_unique<GmRegularizer>(p.name, p.value->size(), gm);
+        priors.push_back(prior.get());
+        return prior;
+      });
+  Tensor input({4, 3, config.input_hw, config.input_hw});
+  std::vector<float> pixels = RandomVec(&rng, input.size());
+  std::copy(pixels.begin(), pixels.end(), input.data());
+  const std::vector<int> labels = {3, 1, 4, 1};
+  for (int step = 0; step < 6; ++step) trainer.Step(input, labels);
+  TrainedBits bits;
+  std::vector<ParamRef> params;
+  net->CollectParams(&params);
+  for (const ParamRef& p : params) {
+    const Tensor& value = *p.value;
+    bits.params.emplace_back(value.data(), value.data() + value.size());
+  }
+  for (const GmRegularizer* prior : priors) {
+    const Tensor& greg = prior->greg();
+    bits.gregs.emplace_back(greg.data(), greg.data() + greg.size());
+    bits.pis.push_back(prior->mixture().pi());
+    bits.lambdas.push_back(prior->mixture().lambda());
+  }
+  return bits;
+}
+
+TEST(TrainingDeterminismTest, AlexLazyGmSameBitsOnEveryTier) {
+  KernelEnvGuard guard;
+  ASSERT_TRUE(internal::ForceKernelTierForTesting(KernelTier::kScalar));
+  SetDefaultNumThreads(1);
+  const TrainedBits want = TrainAlexWithLazyGm();
+  ASSERT_EQ(want.gregs.size(), 4u);  // conv1..conv3 and dense
+  for (KernelTier tier :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!internal::ForceKernelTierForTesting(tier)) continue;
+    for (int budget : {1, 4}) {
+      SCOPED_TRACE(std::string("tier=") + TierName(tier) +
+                   " budget=" + std::to_string(budget));
+      SetDefaultNumThreads(budget);
+      const TrainedBits got = TrainAlexWithLazyGm();
+      ASSERT_EQ(got.params.size(), want.params.size());
+      for (std::size_t i = 0; i < want.params.size(); ++i) {
+        EXPECT_TRUE(SameBits(want.params[i], got.params[i])) << "param " << i;
+      }
+      ASSERT_EQ(got.gregs.size(), want.gregs.size());
+      for (std::size_t i = 0; i < want.gregs.size(); ++i) {
+        EXPECT_TRUE(SameBits(want.gregs[i], got.gregs[i])) << "greg " << i;
+        EXPECT_TRUE(SameBits(want.pis[i], got.pis[i])) << "pi " << i;
+        EXPECT_TRUE(SameBits(want.lambdas[i], got.lambdas[i]))
+            << "lambda " << i;
+      }
     }
   }
 }
